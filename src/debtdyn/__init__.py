@@ -12,12 +12,10 @@ from .analysis import (
     ConditionRegime,
     ConditionReport,
     FixedPoint,
-    RateIsZero,
     RegimeError,
     SweepPoint,
-    debt_closed_form_fixed_point,
+    debt_closed_form,
     debt_closed_form_general,
-    debt_closed_form_schedule,
     decrease_condition,
     fixed_point,
     max_rel_deviation,
@@ -39,6 +37,7 @@ from .model import (
     DebtParams,
     ExpenditureSchedule,
     ExplicitSchedule,
+    FieldError,
     LinearSchedule,
     ModelError,
     NonPositiveBudget,
@@ -63,12 +62,12 @@ __all__ = [
     "DebtParams",
     "ExpenditureSchedule",
     "ExplicitSchedule",
+    "FieldError",
     "FixedPoint",
     "LinearSchedule",
     "ModelError",
     "NonPositiveBudget",
     "ParseError",
-    "RateIsZero",
     "RegimeError",
     "Scenario",
     "ScheduleTooShort",
@@ -77,9 +76,8 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "consumer_step",
-    "debt_closed_form_fixed_point",
+    "debt_closed_form",
     "debt_closed_form_general",
-    "debt_closed_form_schedule",
     "debt_drift",
     "debt_step",
     "decrease_condition",

@@ -21,7 +21,6 @@ from .model import (
     LinearSchedule,
     ModelError,
     Scenario,
-    ScheduleTooShort,
     Trajectory,
     consumer_step,
     debt_drift,
@@ -30,7 +29,6 @@ from .model import (
 )
 
 __all__ = [
-    "RateIsZero",
     "AlphaIsZero",
     "RegimeError",
     "FixedPoint",
@@ -41,16 +39,11 @@ __all__ = [
     "fixed_point",
     "simulate",
     "debt_closed_form_general",
-    "debt_closed_form_fixed_point",
-    "debt_closed_form_schedule",
+    "debt_closed_form",
     "decrease_condition",
     "sweep",
     "max_rel_deviation",
 ]
-
-
-class RateIsZero(ModelError):
-    """A closed form that divides by the rate of return was asked for r = 0."""
 
 
 class AlphaIsZero(ModelError):
@@ -155,45 +148,21 @@ def _fixed_point_surplus(consumer: ConsumerParams) -> float:
     return 2.0 * consumer.alpha * consumer.p_a / (1.0 + consumer.alpha)
 
 
-def debt_closed_form_fixed_point(debt: DebtParams, consumer: ConsumerParams,
-                                 k: int) -> float:
-    """Debt after k years with the budget pinned at its fixed point and a
-    constant expenditure g0:
+def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
+                     horizon: int) -> np.ndarray:
+    """Debt D_1..D_K with the budget pinned at its fixed point:
 
-        D_k = (1+r)**k * D0 + (g0 - 2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r
+        D_k = (1+r)**k * (D0 + sum_{i=1..k} (g_i - 2*alpha*p_a/(1+alpha)) / (1+r)**i)
 
-    Requires beta = 0, alpha = gamma, a Constant schedule, and r > 0.
+    which is `debt_closed_form_general` with the fixed-point drift. For a
+    constant schedule it equals the paper's
+    (1+r)**k * D0 + (g0 - 2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r, and it
+    stays exact at r = 0. Requires beta = 0 and alpha = gamma; raises
+    ScheduleTooShort if an explicit schedule does not cover the horizon.
     """
     _require_simple_regime(consumer, "the fixed-point closed form")
-    if not isinstance(debt.schedule, ConstantSchedule):
-        raise RegimeError("the fixed-point closed form requires a constant schedule")
-    if debt.r == 0.0:
-        raise RateIsZero("the fixed-point closed form divides by r; r = 0 rejected")
-    growth = (1.0 + debt.r) ** k
-    drift = debt.schedule.g0 - _fixed_point_surplus(consumer)
-    return growth * debt.d0 + drift * (growth - 1.0) / debt.r
-
-
-def debt_closed_form_schedule(debt: DebtParams, consumer: ConsumerParams,
-                              k: int) -> float:
-    """Fixed-point debt closed form for an arbitrary expenditure schedule:
-
-        D_k = (1+r)**k * D0 - (2*alpha/((1+alpha)*r)) * p_a * ((1+r)**k - 1)
-              + (1+r)**k * sum_{i=1..k} g_i/(1+r)**i
-
-    Same regime restrictions as `debt_closed_form_fixed_point`, any schedule.
-    """
-    _require_simple_regime(consumer, "the schedule closed form")
-    if debt.r == 0.0:
-        raise RateIsZero("the schedule closed form divides by r; r = 0 rejected")
-    r = debt.r
-    growth = (1.0 + r) ** k
-    discounted_g = sum(debt.schedule.value_at(i) / (1.0 + r) ** i
-                       for i in range(1, k + 1))
-    alpha = consumer.alpha
-    return growth * debt.d0 \
-        - (2.0 * alpha / ((1.0 + alpha) * r)) * consumer.p_a * (growth - 1.0) \
-        + growth * discounted_g
+    g = np.array([debt.schedule.value_at(k) for k in range(1, horizon + 1)])
+    return debt_closed_form_general(debt, g - _fixed_point_surplus(consumer))
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +242,8 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
                                holds=lhs - rhs > 0, regime=ConditionRegime.LINEAR_G,
                                k=k, rhs_limit=limit)
 
+    schedule.value_at(k)  # raises ScheduleTooShort past the listed years
     values = schedule.values
-    if k > len(values):
-        raise ScheduleTooShort(
-            f"explicit schedule has {len(values)} value(s), year {k} requested"
-        )
     rhs = values[0] + rd0 + sum(
         (values[j] - values[j - 1]) / (1.0 + debt.r) ** j for j in range(1, k)
     )

@@ -8,19 +8,18 @@ error), 1 on scenario/model errors, 2 on command-line misuse.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from io import StringIO
 from pathlib import Path
 
 from . import analysis, io
+from .io import format_number
 from .model import ConstantSchedule, ModelError
 
 _GRID_HELP = ("grid specification: 'start:stop:count' for inclusive linear "
               "spacing, or comma-separated explicit values")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -73,33 +72,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_closed_form(args) -> int:
     scenario = _load(args.scenario)
-    traj = analysis.simulate(scenario)
-    horizon = scenario.horizon
-    if isinstance(scenario.debt.schedule, ConstantSchedule):
-        closed = [analysis.debt_closed_form_fixed_point(scenario.debt,
-                                                        scenario.consumer, k)
-                  for k in range(1, horizon + 1)]
-    else:
-        closed = [analysis.debt_closed_form_schedule(scenario.debt,
-                                                     scenario.consumer, k)
-                  for k in range(1, horizon + 1)]
-    recursive = [float(d) for d in traj.debt[1:]]
-    deviation = analysis.max_rel_deviation(recursive, closed)
+    recursive = analysis.simulate(scenario).debt.tolist()
+    closed = [scenario.debt.d0] + analysis.debt_closed_form(
+        scenario.debt, scenario.consumer, scenario.horizon).tolist()
+    deviation = analysis.max_rel_deviation(recursive[1:], closed[1:])
 
     if args.format == "json":
         doc = {
-            "k": list(range(horizon + 1)),
-            "D_recursive": [scenario.debt.d0] + recursive,
-            "D_closed_form": [scenario.debt.d0] + closed,
+            "k": list(range(scenario.horizon + 1)),
+            "D_recursive": recursive,
+            "D_closed_form": closed,
             "max_rel_dev": deviation,
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         lines = ["k,D_recursive,D_closed_form"]
-        lines.append(f"0,{_fmt(scenario.debt.d0)},{_fmt(scenario.debt.d0)}")
-        for k in range(1, horizon + 1):
-            lines.append(f"{k},{_fmt(recursive[k - 1])},{_fmt(closed[k - 1])}")
-        lines.append(f"# max_rel_dev = {_fmt(deviation)}")
+        lines += [f"{k},{format_number(d)},{format_number(c)}"
+                  for k, (d, c) in enumerate(zip(recursive, closed))]
+        lines.append(f"# max_rel_dev = {format_number(deviation)}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -129,17 +119,17 @@ def cmd_condition(args) -> int:
                else "debt will not steadily decrease")
     lines = [
         f"condition {'holds' if report.holds else 'fails'} "
-        f"(margin {_fmt(report.margin)}): {verdict}",
-        f"lhs = {_fmt(report.lhs)}",
-        f"rhs = {_fmt(report.rhs)}",
-        f"margin = {_fmt(report.margin)}",
+        f"(margin {format_number(report.margin)}): {verdict}",
+        f"lhs = {format_number(report.lhs)}",
+        f"rhs = {format_number(report.rhs)}",
+        f"margin = {format_number(report.margin)}",
         f"holds = {_bool(report.holds)}",
         f"regime = {report.regime.value}",
     ]
     if report.k is not None:
         lines.append(f"k = {report.k}")
     if report.rhs_limit is not None:
-        lines.append(f"rhs_limit = {_fmt(report.rhs_limit)}")
+        lines.append(f"rhs_limit = {format_number(report.rhs_limit)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -150,7 +140,7 @@ def cmd_fixed_point(args) -> int:
     if args.format == "json":
         _emit(json.dumps({"b_lambda": fp.b_lambda}) + "\n", args.output)
     else:
-        _emit(f"b_lambda = {_fmt(fp.b_lambda)}\n", args.output)
+        _emit(f"b_lambda = {format_number(fp.b_lambda)}\n", args.output)
     return 0
 
 
@@ -175,17 +165,19 @@ def cmd_sweep(args) -> int:
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
         return 0
 
-    lines = ["value,lhs,rhs,margin,holds,final_D,error"]
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["value", "lhs", "rhs", "margin", "holds", "final_D", "error"])
     for p in points:
         if p.report is not None:
-            lhs, rhs = _fmt(p.report.lhs), _fmt(p.report.rhs)
-            margin, holds = _fmt(p.report.margin), _bool(p.report.holds)
+            lhs, rhs = format_number(p.report.lhs), format_number(p.report.rhs)
+            margin, holds = format_number(p.report.margin), _bool(p.report.holds)
         else:
             lhs = rhs = margin = holds = ""
-        final = "" if p.final_debt is None else _fmt(p.final_debt)
-        error = "" if p.error is None else p.error.replace(",", ";")
-        lines.append(f"{_fmt(p.value)},{lhs},{rhs},{margin},{holds},{final},{error}")
-    _emit("\n".join(lines) + "\n", args.output)
+        final = "" if p.final_debt is None else format_number(p.final_debt)
+        error = p.error or ""
+        writer.writerow([format_number(p.value), lhs, rhs, margin, holds, final, error])
+    _emit(out.getvalue(), args.output)
     return 0
 
 

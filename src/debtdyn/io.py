@@ -19,15 +19,18 @@ Scenario files are YAML documents with three sections::
       b0: 18.0             # optional; defaults to the consumer fixed point
       horizon: 10
 
-Unknown keys are rejected at every level so typos fail loudly. Every model
-invariant is re-checked here with an error message naming the offending
-field path.
+Unknown keys are rejected at every level so typos fail loudly. This module
+checks what only a document can get wrong: mapping shape, unknown and
+missing keys, number and integer types, finiteness. Range invariants belong
+to the model types; their field errors are re-raised here under the
+offending field's file path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import yaml
@@ -39,6 +42,7 @@ from .model import (
     ConsumptionLaw,
     DebtParams,
     ExplicitSchedule,
+    FieldError,
     LinearSchedule,
     Scenario,
     Trajectory,
@@ -52,6 +56,7 @@ __all__ = [
     "scenario_to_dict",
     "write_trajectory",
     "read_trajectory",
+    "format_number",
 ]
 
 
@@ -101,80 +106,83 @@ def _integer(value, path: str) -> int:
     return value
 
 
+# Model field name -> scenario-file key, for the fields whose names differ.
+_FILE_KEYS = {"d0": "D0", "delta_g": "deltaG"}
+
+_SCHEDULE_KINDS = {
+    "constant": ConstantSchedule,
+    "linear": LinearSchedule,
+    "explicit": ExplicitSchedule,
+}
+
+
+def _key(name: str) -> str:
+    return _FILE_KEYS.get(name, name)
+
+
+def _keys(cls) -> set[str]:
+    """File keys of a model type's fields."""
+    return {_key(f.name) for f in fields(cls)}
+
+
+def _field(doc: dict, path: str, name: str, parse=_number):
+    """Required model field ``name``, read under its file key."""
+    key = _key(name)
+    return parse(_get(doc, key, f"{path}.{key}"), f"{path}.{key}")
+
+
+def _build(cls, path: str, **values):
+    """Construct a model type, restating a field error under its file path."""
+    try:
+        return cls(**values)
+    except FieldError as exc:
+        raise ValidationError(f"{path}.{_key(exc.field)}: {exc.problem}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Scenario loading
 # ---------------------------------------------------------------------------
 
 def _parse_consumer(doc, path: str) -> ConsumerParams:
-    doc = _mapping(doc, path, {"p_a", "alpha", "beta", "gamma", "m", "law"})
-    p_a = _number(_get(doc, "p_a", f"{path}.p_a"), f"{path}.p_a")
-    if p_a <= 0:
-        _fail(f"{path}.p_a", f"must be > 0, got {p_a!r}")
-    alpha = _number(_get(doc, "alpha", f"{path}.alpha"), f"{path}.alpha")
-    if not 0 <= alpha < 1:
-        _fail(f"{path}.alpha", f"must be in [0, 1), got {alpha!r}")
-    beta = _number(_get(doc, "beta", f"{path}.beta"), f"{path}.beta")
-    if not 0 <= beta < 1:
-        _fail(f"{path}.beta", f"must be in [0, 1), got {beta!r}")
-    gamma = _number(_get(doc, "gamma", f"{path}.gamma"), f"{path}.gamma")
-    if gamma < 0:
-        _fail(f"{path}.gamma", f"must be >= 0, got {gamma!r}")
-    m = None
-    if doc.get("m") is not None:  # explicit null reads as absent
-        m = _integer(doc["m"], f"{path}.m")
-        if m < 1:
-            _fail(f"{path}.m", f"must be >= 1, got {m!r}")
-    law_doc = _mapping(_get(doc, "law", f"{path}.law"), f"{path}.law", {"a", "n"})
-    a = _number(_get(law_doc, "a", f"{path}.law.a"), f"{path}.law.a")
-    if a <= 0:
-        _fail(f"{path}.law.a", f"must be > 0, got {a!r}")
-    n = _integer(_get(law_doc, "n", f"{path}.law.n"), f"{path}.law.n")
-    if n < 2:
-        _fail(f"{path}.law.n", f"must be >= 2, got {n!r}")
-    return ConsumerParams(p_a=p_a, alpha=alpha, beta=beta, gamma=gamma,
-                          law=ConsumptionLaw(a=a, n=n), m=m)
+    doc = _mapping(doc, path, _keys(ConsumerParams))
+    rates = {name: _field(doc, path, name)
+             for name in ("p_a", "alpha", "beta", "gamma")}
+    m = doc.get("m")
+    if m is not None:  # explicit null reads as absent
+        m = _integer(m, f"{path}.m")
+    law_path = f"{path}.law"
+    law_doc = _mapping(_get(doc, "law", law_path), law_path, _keys(ConsumptionLaw))
+    law = _build(ConsumptionLaw, law_path, a=_field(law_doc, law_path, "a"),
+                 n=_field(law_doc, law_path, "n", _integer))
+    return _build(ConsumerParams, path, **rates, law=law, m=m)
 
 
 def _parse_schedule(doc, path: str):
     if not isinstance(doc, dict):
         _fail(path, f"must be a mapping, got {type(doc).__name__}")
     kind = _get(doc, "kind", f"{path}.kind")
-    if kind == "constant":
-        doc = _mapping(doc, path, {"kind", "g0"})
-        g0 = _number(_get(doc, "g0", f"{path}.g0"), f"{path}.g0")
-        if g0 < 0:
-            _fail(f"{path}.g0", f"must be >= 0, got {g0!r}")
-        return ConstantSchedule(g0=g0)
-    if kind == "linear":
-        doc = _mapping(doc, path, {"kind", "g1", "deltaG"})
-        g1 = _number(_get(doc, "g1", f"{path}.g1"), f"{path}.g1")
-        if g1 <= 0:
-            _fail(f"{path}.g1", f"must be > 0, got {g1!r}")
-        delta_g = _number(_get(doc, "deltaG", f"{path}.deltaG"), f"{path}.deltaG")
-        return LinearSchedule(g1=g1, delta_g=delta_g)
-    if kind == "explicit":
-        doc = _mapping(doc, path, {"kind", "values"})
-        values = _get(doc, "values", f"{path}.values")
-        if not isinstance(values, list) or not values:
-            _fail(f"{path}.values", "must be a nonempty list of numbers")
-        parsed = tuple(_number(v, f"{path}.values[{i}]")
-                       for i, v in enumerate(values))
-        return ExplicitSchedule(values=parsed)
-    _fail(f"{path}.kind",
-          f"must be one of 'constant', 'linear', 'explicit', got {kind!r}")
+    cls = _SCHEDULE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        _fail(f"{path}.kind",
+              f"must be one of {', '.join(map(repr, _SCHEDULE_KINDS))}, got {kind!r}")
+    doc = _mapping(doc, path, {"kind", *_keys(cls)})
+    if cls is not ExplicitSchedule:
+        return _build(cls, path, **{f.name: _field(doc, path, f.name)
+                                    for f in fields(cls)})
+    values = _get(doc, "values", f"{path}.values")
+    if not isinstance(values, list) or not values:
+        _fail(f"{path}.values", "must be a nonempty list of numbers")
+    return _build(cls, path, values=tuple(_number(v, f"{path}.values[{i}]")
+                                          for i, v in enumerate(values)))
 
 
 def _parse_debt(doc, path: str) -> DebtParams:
-    doc = _mapping(doc, path, {"r", "D0", "schedule"})
-    r = _number(_get(doc, "r", f"{path}.r"), f"{path}.r")
-    if r < 0:
-        _fail(f"{path}.r", f"must be >= 0, got {r!r}")
-    d0 = _number(_get(doc, "D0", f"{path}.D0"), f"{path}.D0")
-    if d0 < 0:
-        _fail(f"{path}.D0", f"must be >= 0, got {d0!r}")
-    schedule = _parse_schedule(_get(doc, "schedule", f"{path}.schedule"),
-                               f"{path}.schedule")
-    return DebtParams(r=r, d0=d0, schedule=schedule)
+    doc = _mapping(doc, path, _keys(DebtParams))
+    schedule_path = f"{path}.schedule"
+    return _build(DebtParams, path, r=_field(doc, path, "r"),
+                  d0=_field(doc, path, "d0"),
+                  schedule=_parse_schedule(_get(doc, "schedule", schedule_path),
+                                           schedule_path))
 
 
 def scenario_from_mapping(doc) -> Scenario:
@@ -188,17 +196,10 @@ def scenario_from_mapping(doc) -> Scenario:
     run = _mapping(_get(doc, "run", "run"), "run", {"b0", "horizon"})
     if run.get("b0") is not None:  # explicit null reads as absent
         b0 = _number(run["b0"], "run.b0")
-        if b0 <= 0:
-            _fail("run.b0", f"must be > 0, got {b0!r}")
     else:
         b0 = fixed_point(consumer).b_lambda
-    horizon = _integer(_get(run, "horizon", "run.horizon"), "run.horizon")
-    if horizon < 1:
-        _fail("run.horizon", f"must be >= 1, got {horizon!r}")
-    try:
-        return Scenario(consumer=consumer, debt=debt, b0=b0, horizon=horizon)
-    except ValueError as exc:  # backstop; field checks above should catch first
-        raise ValidationError(str(exc)) from exc
+    return _build(Scenario, "run", consumer=consumer, debt=debt, b0=b0,
+                  horizon=_field(run, "run", "horizon", _integer))
 
 
 def load_scenario(document: str) -> Scenario:
@@ -215,29 +216,25 @@ def load_scenario(document: str) -> Scenario:
     return scenario_from_mapping(doc)
 
 
+def _as_doc(value) -> dict:
+    """A model value's fields under their file keys; unset optional fields
+    are left out and tuples become lists."""
+    doc = {}
+    for f in fields(value):
+        item = getattr(value, f.name)
+        if item is not None:
+            doc[_key(f.name)] = list(item) if isinstance(item, tuple) else item
+    return doc
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Scenario as a plain mapping in the file schema (inverse of loading)."""
-    consumer = scenario.consumer
-    consumer_doc = {
-        "p_a": consumer.p_a,
-        "alpha": consumer.alpha,
-        "beta": consumer.beta,
-        "gamma": consumer.gamma,
-        "law": {"a": consumer.law.a, "n": consumer.law.n},
-    }
-    if consumer.m is not None:
-        consumer_doc["m"] = consumer.m
-    schedule = scenario.debt.schedule
-    if isinstance(schedule, ConstantSchedule):
-        schedule_doc = {"kind": "constant", "g0": schedule.g0}
-    elif isinstance(schedule, LinearSchedule):
-        schedule_doc = {"kind": "linear", "g1": schedule.g1, "deltaG": schedule.delta_g}
-    else:
-        schedule_doc = {"kind": "explicit", "values": list(schedule.values)}
+    consumer, debt = scenario.consumer, scenario.debt
+    kind = next(kind for kind, cls in _SCHEDULE_KINDS.items()
+                if isinstance(debt.schedule, cls))
     return {
-        "consumer": consumer_doc,
-        "debt": {"r": scenario.debt.r, "D0": scenario.debt.d0,
-                 "schedule": schedule_doc},
+        "consumer": {**_as_doc(consumer), "law": _as_doc(consumer.law)},
+        "debt": {**_as_doc(debt), "schedule": {"kind": kind, **_as_doc(debt.schedule)}},
         "run": {"b0": scenario.b0, "horizon": scenario.horizon},
     }
 
@@ -246,12 +243,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 # Trajectory serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def format_number(x: float) -> str:
+    """A number as written to text outputs: 12 significant digits."""
     return format(x, ".12g")
 
 
 def _cell(x: float) -> str:
-    return "" if math.isnan(x) else _fmt(x)
+    return "" if math.isnan(x) else format_number(x)
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
@@ -259,11 +257,11 @@ def _trajectory_csv(traj: Trajectory) -> str:
     for k in range(traj.horizon + 1):
         lines.append(",".join([
             str(k),
-            _fmt(traj.b[k]),
+            format_number(traj.b[k]),
             _cell(traj.c[k]),
             _cell(traj.tau[k]),
             _cell(traj.delta[k]),
-            _fmt(traj.debt[k]),
+            format_number(traj.debt[k]),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -316,8 +314,6 @@ def read_trajectory(document: str) -> Trajectory:
         return np.array([np.nan if v is None else _number(v, f"trajectory.{key}[{i}]")
                          for i, v in enumerate(raw)], dtype=float)
 
-    try:
-        return Trajectory(scenario=scenario, b=array("b"), c=array("c"),
-                          tau=array("tau"), delta=array("delta"), debt=array("D"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return _build(Trajectory, "trajectory", scenario=scenario, b=array("b"),
+                  c=array("c"), tau=array("tau"), delta=array("delta"),
+                  debt=array("D"))

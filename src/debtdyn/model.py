@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "ModelError",
     "NonPositiveBudget",
     "ScheduleTooShort",
@@ -56,14 +57,27 @@ class ScheduleTooShort(ModelError):
     """An explicit expenditure schedule does not cover the requested year."""
 
 
-def _check(condition: bool, message: str) -> None:
+class FieldError(ValueError):
+    """A field of a domain type violates its invariant.
+
+    ``field`` is the model field name and ``problem`` the violated rule, so a
+    caller can restate the error against its own naming of the field.
+    """
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
+def _check(condition: bool, field: str, problem: str) -> None:
     if not condition:
-        raise ValueError(message)
+        raise FieldError(field, problem)
 
 
 def _finite(value: float, name: str) -> float:
     value = float(value)
-    _check(math.isfinite(value), f"{name} must be finite, got {value!r}")
+    _check(math.isfinite(value), name, f"must be finite, got {value!r}")
     return value
 
 
@@ -84,10 +98,10 @@ class ConsumptionLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _finite(self.a, "a"))
-        _check(self.a > 0, f"a must be > 0, got {self.a!r}")
+        _check(self.a > 0, "a", f"must be > 0, got {self.a!r}")
         _check(isinstance(self.n, int) and not isinstance(self.n, bool),
-               f"n must be an integer, got {self.n!r}")
-        _check(self.n >= 2, f"n must be >= 2, got {self.n!r}")
+               "n", f"must be an integer, got {self.n!r}")
+        _check(self.n >= 2, "n", f"must be >= 2, got {self.n!r}")
 
     def consumption(self, budget: float) -> float:
         """Yearly spending at the given budget level."""
@@ -125,14 +139,14 @@ class ConsumerParams:
     def __post_init__(self):
         for name in ("p_a", "alpha", "beta", "gamma"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
-        _check(self.p_a > 0, f"p_a must be > 0, got {self.p_a!r}")
-        _check(0 <= self.alpha < 1, f"alpha must be in [0, 1), got {self.alpha!r}")
-        _check(0 <= self.beta < 1, f"beta must be in [0, 1), got {self.beta!r}")
-        _check(self.gamma >= 0, f"gamma must be >= 0, got {self.gamma!r}")
+        _check(self.p_a > 0, "p_a", f"must be > 0, got {self.p_a!r}")
+        _check(0 <= self.alpha < 1, "alpha", f"must be in [0, 1), got {self.alpha!r}")
+        _check(0 <= self.beta < 1, "beta", f"must be in [0, 1), got {self.beta!r}")
+        _check(self.gamma >= 0, "gamma", f"must be >= 0, got {self.gamma!r}")
         if self.m is not None:
             _check(isinstance(self.m, int) and not isinstance(self.m, bool),
-                   f"m must be an integer year, got {self.m!r}")
-            _check(self.m >= 1, f"m must be >= 1, got {self.m!r}")
+                   "m", f"must be an integer year, got {self.m!r}")
+            _check(self.m >= 1, "m", f"must be >= 1, got {self.m!r}")
 
     def wealth_tax_rate(self, k: int) -> float:
         """beta in the wealth-tax year, zero in every other year."""
@@ -147,7 +161,7 @@ class ConstantSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "g0", _finite(self.g0, "g0"))
-        _check(self.g0 >= 0, f"g0 must be >= 0, got {self.g0!r}")
+        _check(self.g0 >= 0, "g0", f"must be >= 0, got {self.g0!r}")
 
     def value_at(self, k: int) -> float:
         return self.g0
@@ -166,7 +180,7 @@ class LinearSchedule:
     def __post_init__(self):
         object.__setattr__(self, "g1", _finite(self.g1, "g1"))
         object.__setattr__(self, "delta_g", _finite(self.delta_g, "delta_g"))
-        _check(self.g1 > 0, f"g1 must be > 0, got {self.g1!r}")
+        _check(self.g1 > 0, "g1", f"must be > 0, got {self.g1!r}")
 
     def value_at(self, k: int) -> float:
         return (k - 1) * self.delta_g + self.g1
@@ -181,7 +195,7 @@ class ExplicitSchedule:
     def __post_init__(self):
         values = tuple(_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
         object.__setattr__(self, "values", values)
-        _check(len(values) > 0, "values must be nonempty")
+        _check(len(values) > 0, "values", "must be nonempty")
 
     def value_at(self, k: int) -> float:
         if k > len(self.values):
@@ -198,8 +212,8 @@ ExpenditureSchedule = Union[ConstantSchedule, LinearSchedule, ExplicitSchedule]
 class DebtParams:
     """Public-debt parameters: rate of return, initial level, expenditure plan.
 
-    ``r = 0`` is allowed (the recursion is well defined there); the
-    closed-form operations reject it separately because they divide by r.
+    ``r = 0`` is allowed: the recursion and the closed forms are both exact
+    there.
     """
 
     r: float
@@ -209,8 +223,8 @@ class DebtParams:
     def __post_init__(self):
         object.__setattr__(self, "r", _finite(self.r, "r"))
         object.__setattr__(self, "d0", _finite(self.d0, "d0"))
-        _check(self.r >= 0, f"r must be >= 0, got {self.r!r}")
-        _check(self.d0 >= 0, f"d0 must be >= 0, got {self.d0!r}")
+        _check(self.r >= 0, "r", f"must be >= 0, got {self.r!r}")
+        _check(self.d0 >= 0, "d0", f"must be >= 0, got {self.d0!r}")
 
 
 @dataclass(frozen=True)
@@ -224,10 +238,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "b0", _finite(self.b0, "b0"))
-        _check(self.b0 > 0, f"b0 must be > 0, got {self.b0!r}")
+        _check(self.b0 > 0, "b0", f"must be > 0, got {self.b0!r}")
         _check(isinstance(self.horizon, int) and not isinstance(self.horizon, bool),
-               f"horizon must be an integer, got {self.horizon!r}")
-        _check(self.horizon >= 1, f"horizon must be >= 1, got {self.horizon!r}")
+               "horizon", f"must be an integer, got {self.horizon!r}")
+        _check(self.horizon >= 1, "horizon", f"must be >= 1, got {self.horizon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +265,8 @@ class Trajectory:
     def __post_init__(self):
         lengths = {len(self.b), len(self.c), len(self.tau),
                    len(self.delta), len(self.debt)}
-        _check(lengths == {len(self.b)}, f"series lengths differ: {sorted(lengths)}")
-        _check(len(self.b) >= 1, "series must include the initial year")
+        _check(lengths == {len(self.b)}, "series", f"lengths differ: {sorted(lengths)}")
+        _check(len(self.b) >= 1, "series", "must include the initial year")
 
     @property
     def horizon(self) -> int:

@@ -19,7 +19,7 @@ from debtdyn import (
     LinearSchedule,
     Scenario,
     consumer_step,
-    debt_closed_form_fixed_point,
+    debt_closed_form,
     debt_closed_form_general,
     decrease_condition,
     fixed_point,
@@ -93,8 +93,7 @@ def test_criterion_3_closed_form_equals_recursion():
         for _ in range(200):
             scenario = random_fixed_point_scenario(rng, horizon=100)
             traj = simulate(scenario)
-            closed = [debt_closed_form_fixed_point(scenario.debt, scenario.consumer, k)
-                      for k in range(1, 101)]
+            closed = debt_closed_form(scenario.debt, scenario.consumer, 100)
             worst_fp = max(worst_fp, max_rel_deviation(closed, traj.debt[1:]))
         assert worst_fp < 1e-9
 

@@ -17,14 +17,12 @@ from debtdyn import (
     DebtParams,
     ExplicitSchedule,
     LinearSchedule,
-    RateIsZero,
     RegimeError,
     Scenario,
     ScheduleTooShort,
     consumer_step,
-    debt_closed_form_fixed_point,
+    debt_closed_form,
     debt_closed_form_general,
-    debt_closed_form_schedule,
     decrease_condition,
     fixed_point,
     max_rel_deviation,
@@ -162,14 +160,14 @@ def test_fixed_point_closed_form_drift_cancellation():
     cons = make_consumer()
     # g0 equal to the fixed-point tax intake: debt is pure compounding
     debt = constant_debt(d0=1.0, g0=40.0)
-    assert debt_closed_form_fixed_point(debt, cons, 10) == pytest.approx(1.05 ** 10, rel=1e-12)
+    assert debt_closed_form(debt, cons, 10)[9] == pytest.approx(1.05 ** 10, rel=1e-12)
     debt0 = constant_debt(d0=0.0, g0=40.0)
     for k in (1, 5, 50):
-        assert debt_closed_form_fixed_point(debt0, cons, k) == 0.0
+        assert debt_closed_form(debt0, cons, k)[k - 1] == 0.0
 
 
 def test_fixed_point_closed_form_one_year_oracle():
-    assert debt_closed_form_fixed_point(constant_debt(), make_consumer(), 1) \
+    assert debt_closed_form(constant_debt(), make_consumer(), 1)[0] \
         == pytest.approx(95.0, rel=1e-12)
 
 
@@ -179,37 +177,39 @@ def test_fixed_point_closed_form_matches_recursion_from_b_lambda():
     scenario = Scenario(consumer=cons, debt=debt,
                         b0=fixed_point(cons).b_lambda, horizon=100)
     traj = simulate(scenario)
-    closed = [debt_closed_form_fixed_point(debt, cons, k) for k in range(1, 101)]
+    closed = debt_closed_form(debt, cons, 100)
     assert max_rel_deviation(closed, traj.debt[1:]) < 1e-9
 
 
 def test_fixed_point_closed_form_guards():
-    cons = make_consumer()
-    with pytest.raises(RateIsZero):
-        debt_closed_form_fixed_point(constant_debt(r=0.0), cons, 1)
     with pytest.raises(RegimeError):
-        debt_closed_form_fixed_point(constant_debt(), make_consumer(beta=0.1, m=1), 1)
+        debt_closed_form(constant_debt(), make_consumer(beta=0.1, m=1), 1)
     with pytest.raises(RegimeError):
-        debt_closed_form_fixed_point(constant_debt(), make_consumer(alpha=0.2), 1)
-    linear = DebtParams(r=0.05, d0=100.0, schedule=LinearSchedule(g1=30.0, delta_g=1.0))
-    with pytest.raises(RegimeError):
-        debt_closed_form_fixed_point(linear, cons, 1)
+        debt_closed_form(constant_debt(), make_consumer(alpha=0.2), 1)
+
+
+def constant_closed_form(debt, consumer, k):
+    # Constant-expenditure closed form, written out independently:
+    # D_k = (1+r)**k * D0 + (g0 - 2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r
+    growth = (1.0 + debt.r) ** k
+    surplus = 2.0 * consumer.alpha * consumer.p_a / (1.0 + consumer.alpha)
+    return growth * debt.d0 + (debt.schedule.g0 - surplus) * (growth - 1.0) / debt.r
 
 
 def test_schedule_closed_form_specializes_to_constant():
     cons = make_consumer()
     debt = constant_debt()
     for k in (1, 3, 10, 40):
-        assert debt_closed_form_schedule(debt, cons, k) \
-            == pytest.approx(debt_closed_form_fixed_point(debt, cons, k), rel=1e-12)
+        assert debt_closed_form(debt, cons, k)[k - 1] \
+            == pytest.approx(constant_closed_form(debt, cons, k), rel=1e-12)
 
 
 def test_schedule_closed_form_degenerate_linear_equals_constant():
     cons = make_consumer()
     linear = DebtParams(r=0.05, d0=100.0, schedule=LinearSchedule(g1=30.0, delta_g=0.0))
     for k in (1, 5, 20):
-        assert debt_closed_form_schedule(linear, cons, k) \
-            == pytest.approx(debt_closed_form_fixed_point(constant_debt(), cons, k), rel=1e-12)
+        assert debt_closed_form(linear, cons, k)[k - 1] \
+            == pytest.approx(debt_closed_form(constant_debt(), cons, k)[k - 1], rel=1e-12)
 
 
 def test_schedule_closed_form_three_step_hand_iteration():
@@ -217,16 +217,29 @@ def test_schedule_closed_form_three_step_hand_iteration():
     # 95 -> 90.75 -> 87.2875
     cons = make_consumer()
     linear = DebtParams(r=0.05, d0=100.0, schedule=LinearSchedule(g1=30.0, delta_g=1.0))
-    assert debt_closed_form_schedule(linear, cons, 3) == pytest.approx(87.2875, rel=1e-12)
+    assert debt_closed_form(linear, cons, 3)[2] == pytest.approx(87.2875, rel=1e-12)
 
 
 def test_schedule_closed_form_guards():
     cons = make_consumer()
-    with pytest.raises(RateIsZero):
-        debt_closed_form_schedule(constant_debt(r=0.0), cons, 1)
     short = DebtParams(r=0.05, d0=0.0, schedule=ExplicitSchedule(values=(30.0,)))
     with pytest.raises(ScheduleTooShort):
-        debt_closed_form_schedule(short, cons, 2)
+        debt_closed_form(short, cons, 2)
+
+
+def test_closed_form_is_exact_at_zero_rate_and_stable_near_it():
+    cons = make_consumer()
+    linear = LinearSchedule(g1=30.0, delta_g=0.01)
+    g = np.array([linear.value_at(k) for k in range(1, 1001)])
+    at_zero = DebtParams(r=0.0, d0=100.0, schedule=linear)
+    assert np.array_equal(debt_closed_form(at_zero, cons, 1000),
+                          100.0 + np.cumsum(g - 40.0))
+    for r in (1e-9, 1e-12):
+        debt = DebtParams(r=r, d0=100.0, schedule=linear)
+        traj = simulate(Scenario(consumer=cons, debt=debt,
+                                 b0=fixed_point(cons).b_lambda, horizon=1000))
+        assert max_rel_deviation(debt_closed_form(debt, cons, 1000),
+                                 traj.debt[1:]) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line surface."""
 
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from debtdyn import cli
+from debtdyn import cli, load_scenario, sweep
 
 BASELINE = """
 consumer:
@@ -194,6 +196,16 @@ def test_sweep_captured_errors_appear_in_rows(baseline_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "alpha" in lines[1].split(",")[6]
     assert lines[2].endswith(",")  # no error for the valid point
+
+
+def test_sweep_csv_keeps_error_messages_verbatim(tmp_path, capsys):
+    # alpha != gamma: the condition's RegimeError message contains commas
+    path = write_variant(tmp_path, "rates.yaml", "gamma: 0.25", "gamma: 0.3")
+    assert cli.main(["sweep", path, "--axis", "g0", "--grid", "30,40"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    points = sweep(load_scenario(Path(path).read_text()), "g0", [30.0, 40.0])
+    assert "," in points[0].error
+    assert [row[6] for row in rows[1:]] == [p.error for p in points]
 
 
 def test_sweep_bad_grid_is_cli_misuse(baseline_path):

@@ -103,6 +103,48 @@ debt:
     assert fragment in str(excinfo.value)
 
 
+RANGE_DOC = """
+consumer:
+  p_a: 100.0
+  alpha: 0.25
+  beta: 0.0
+  gamma: 0.25
+  law: {a: 0.15, n: 2}
+debt:
+  r: 0.05
+  D0: 0.0
+  schedule: {kind: constant, g0: 30.0}
+run:
+  horizon: 10
+"""
+
+
+@pytest.mark.parametrize("old,new,path", [
+    ("p_a: 100.0", "p_a: 0.0", "consumer.p_a"),
+    ("alpha: 0.25", "alpha: -0.1", "consumer.alpha"),
+    ("alpha: 0.25", "alpha: 1.0", "consumer.alpha"),
+    ("beta: 0.0", "beta: -0.1", "consumer.beta"),
+    ("beta: 0.0", "beta: 1.0", "consumer.beta"),
+    ("gamma: 0.25", "gamma: -0.1", "consumer.gamma"),
+    ("beta: 0.0", "beta: 0.0\n  m: 0", "consumer.m"),
+    ("a: 0.15", "a: 0.0", "consumer.law.a"),
+    ("n: 2", "n: 1", "consumer.law.n"),
+    ("r: 0.05", "r: -0.01", "debt.r"),
+    ("D0: 0.0", "D0: -1.0", "debt.D0"),
+    ("g0: 30.0", "g0: -1.0", "debt.schedule.g0"),
+    ("{kind: constant, g0: 30.0}", "{kind: linear, g1: 0.0, deltaG: 1.0}",
+     "debt.schedule.g1"),
+    ("horizon: 10", "b0: -1.0\n  horizon: 10", "run.b0"),
+    ("horizon: 10", "horizon: -3", "run.horizon"),
+])
+def test_range_errors_name_the_file_path(old, new, path):
+    doc = RANGE_DOC.replace(old, new, 1)
+    assert doc != RANGE_DOC
+    with pytest.raises(ValidationError) as excinfo:
+        load_scenario(doc)
+    assert str(excinfo.value).startswith(f"{path}: must ")
+
+
 def test_nonnumeric_field_is_a_validation_error():
     doc = """
 consumer:
