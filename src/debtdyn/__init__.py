@@ -4,24 +4,14 @@ Simulate the implicit budget recursion of a representative consumer coupled
 to the public-debt recursion, evaluate the closed-form debt solutions, and
 test the conditions under which the per-capita public debt steadily
 decreases.
+
+The package re-exports the public names of `model` and `analysis` (each
+module's ``__all__`` is the one list of them) and the scenario and
+trajectory I/O of `io`.
 """
 
-from .analysis import (
-    SWEEP_AXES,
-    AlphaIsZero,
-    ConditionRegime,
-    ConditionReport,
-    FixedPoint,
-    RegimeError,
-    SweepPoint,
-    debt_closed_form,
-    debt_closed_form_general,
-    decrease_condition,
-    fixed_point,
-    max_rel_deviation,
-    simulate,
-    sweep,
-)
+from . import analysis, model
+from .analysis import *  # noqa: F401,F403
 from .io import (
     ParseError,
     ValidationError,
@@ -30,64 +20,17 @@ from .io import (
     scenario_to_dict,
     write_trajectory,
 )
-from .model import (
-    ConstantSchedule,
-    ConsumerParams,
-    ConsumptionLaw,
-    DebtParams,
-    ExpenditureSchedule,
-    ExplicitSchedule,
-    FieldError,
-    LinearSchedule,
-    ModelError,
-    NonPositiveBudget,
-    Scenario,
-    ScheduleTooShort,
-    Trajectory,
-    consumer_step,
-    debt_drift,
-    debt_step,
-    tax,
-)
+from .model import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaIsZero",
-    "ConditionRegime",
-    "ConditionReport",
-    "ConstantSchedule",
-    "ConsumerParams",
-    "ConsumptionLaw",
-    "DebtParams",
-    "ExpenditureSchedule",
-    "ExplicitSchedule",
-    "FieldError",
-    "FixedPoint",
-    "LinearSchedule",
-    "ModelError",
-    "NonPositiveBudget",
+    *model.__all__,
+    *analysis.__all__,
     "ParseError",
-    "RegimeError",
-    "Scenario",
-    "ScheduleTooShort",
-    "SweepPoint",
-    "SWEEP_AXES",
-    "Trajectory",
     "ValidationError",
-    "consumer_step",
-    "debt_closed_form",
-    "debt_closed_form_general",
-    "debt_drift",
-    "debt_step",
-    "decrease_condition",
-    "fixed_point",
     "load_scenario",
-    "max_rel_deviation",
     "read_trajectory",
     "scenario_to_dict",
-    "simulate",
-    "sweep",
-    "tax",
     "write_trajectory",
 ]

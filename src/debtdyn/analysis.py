@@ -9,6 +9,7 @@ those restrictions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -23,13 +24,14 @@ from .model import (
     Scenario,
     Trajectory,
     consumer_step,
-    debt_drift,
     debt_step,
     tax,
 )
 
 __all__ = [
     "AlphaIsZero",
+    "DebtNotFinite",
+    "FixedPointOutOfRange",
     "RegimeError",
     "FixedPoint",
     "ConditionRegime",
@@ -54,6 +56,26 @@ class RegimeError(ModelError):
     """Operation restricted to the simplified tax regime (beta = 0, alpha = gamma)."""
 
 
+class FixedPointOutOfRange(ModelError):
+    """The budget fixed point underflows to 0 or overflows in floating point."""
+
+
+class DebtNotFinite(ModelError):
+    """A debt series left the floating-point range."""
+
+
+def _finite_debt(series: np.ndarray, first_year: int) -> np.ndarray:
+    """``series`` (the debt from ``first_year`` on) when all of it is finite;
+    otherwise DebtNotFinite naming the first year that is not."""
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        year = first_year + int(bad[0])
+        raise DebtNotFinite(
+            f"debt leaves the float range in year {year} (D = {float(series[bad[0]])!r})"
+        )
+    return series
+
+
 # ---------------------------------------------------------------------------
 # Fixed point and simulation
 # ---------------------------------------------------------------------------
@@ -65,8 +87,9 @@ class FixedPoint:
     b_lambda: float
 
     def __post_init__(self):
-        if not self.b_lambda > 0:
-            raise ValueError(f"b_lambda must be > 0, got {self.b_lambda!r}")
+        if not 0 < self.b_lambda < math.inf:
+            raise FixedPointOutOfRange(
+                f"b_lambda must be finite and > 0, got {self.b_lambda!r}")
 
 
 def fixed_point(params: ConsumerParams) -> FixedPoint:
@@ -75,7 +98,8 @@ def fixed_point(params: ConsumerParams) -> FixedPoint:
         b_lambda = ((1 - alpha) * p_a / ((1 + gamma) * a)) ** (1/n)
 
     For alpha = gamma this is the equal-rates form
-    ((1-alpha)/(1+alpha) * p_a/a) ** (1/n).
+    ((1-alpha)/(1+alpha) * p_a/a) ** (1/n). Raises FixedPointOutOfRange when
+    that value underflows to 0 or overflows.
     """
     law = params.law
     b = ((1.0 - params.alpha) * params.p_a
@@ -87,9 +111,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     """Run the coupled budget/debt recursion over the full horizon.
 
     Year k computes, in order: the implicit budget step, consumption, the tax
-    bill, the debt drift for the year's scheduled expenditure, and the debt
-    update. Raises ScheduleTooShort up front if an explicit schedule does not
-    cover the horizon.
+    bill, the debt drift (the year's scheduled expenditure minus the tax
+    bill), and the debt update. Raises ScheduleTooShort up front if an
+    explicit schedule does not cover the horizon, and DebtNotFinite if the
+    debt leaves the float range.
     """
     cons = scenario.consumer
     dbt = scenario.debt
@@ -111,10 +136,11 @@ def simulate(scenario: Scenario) -> Trajectory:
         b[k] = b_k
         c[k] = c_k
         tau[k] = tax(cons, b_k, c_k, k)
-        delta[k] = debt_drift(cons, g[k - 1], b_k, k)
+        delta[k] = g[k - 1] - tau[k]
         debt[k] = debt_step(dbt, float(debt[k - 1]), float(delta[k]))
 
-    return Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta, debt=debt)
+    return Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta,
+                      debt=_finite_debt(debt, first_year=0))
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +152,14 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
 
         D_k = (1+r)**k * (D0 + sum_{i=1..k} drift_i / (1+r)**i)
 
-    Valid for any drifts, any r >= 0; returns D_1..D_K.
+    Valid for any drifts, any r >= 0; returns D_1..D_K. Raises DebtNotFinite
+    once the growth factors, and so the series, leave the float range.
     """
     drifts = np.asarray(drifts, dtype=float)
-    growth = (1.0 + debt.r) ** np.arange(1, len(drifts) + 1)
-    return growth * (debt.d0 + np.cumsum(drifts / growth))
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = (1.0 + debt.r) ** np.arange(1, len(drifts) + 1)
+        series = growth * (debt.d0 + np.cumsum(drifts / growth))
+    return _finite_debt(series, first_year=1)
 
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:

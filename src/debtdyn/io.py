@@ -35,7 +35,7 @@ from dataclasses import fields
 import numpy as np
 import yaml
 
-from .analysis import fixed_point
+from .analysis import FixedPointOutOfRange, fixed_point
 from .model import (
     ConstantSchedule,
     ConsumerParams,
@@ -197,7 +197,11 @@ def scenario_from_mapping(doc) -> Scenario:
     if run.get("b0") is not None:  # explicit null reads as absent
         b0 = _number(run["b0"], "run.b0")
     else:
-        b0 = fixed_point(consumer).b_lambda
+        try:
+            b0 = fixed_point(consumer).b_lambda
+        except FixedPointOutOfRange as exc:
+            _fail("run.b0", f"required, since the fixed-point default is out of "
+                            f"range ({exc})")
     return _build(Scenario, "run", consumer=consumer, debt=debt, b0=b0,
                   horizon=_field(run, "run", "horizon", _integer))
 

@@ -25,6 +25,7 @@ __all__ = [
     "ModelError",
     "NonPositiveBudget",
     "ScheduleTooShort",
+    "SolverDidNotConverge",
     "ConsumptionLaw",
     "ConsumerParams",
     "ConstantSchedule",
@@ -36,7 +37,6 @@ __all__ = [
     "Trajectory",
     "tax",
     "consumer_step",
-    "debt_drift",
     "debt_step",
 ]
 
@@ -51,6 +51,10 @@ class ModelError(Exception):
 
 class NonPositiveBudget(ModelError):
     """The implicit budget step has no positive solution."""
+
+
+class SolverDidNotConverge(ModelError):
+    """The budget root solver did not reach its tolerance in the float range."""
 
 
 class ScheduleTooShort(ModelError):
@@ -296,31 +300,28 @@ _MAX_ITER = 200
 def _positive_root(coeff: float, n: int, slope: float, rhs: float) -> float:
     """Unique positive root of coeff*x**n + slope*x - rhs with all inputs > 0.
 
-    The polynomial is strictly increasing on x > 0, negative at 0 and
-    positive at rhs/slope, so (0, rhs/slope] brackets the root. Newton steps
-    are taken from the upper end and fall back to bisection whenever a step
-    would leave the bracket; terminates once the relative step drops below
-    1e-12 (or after 200 iterations, which bisection alone cannot exhaust).
+    Newton starts at min(rhs/slope, (rhs/coeff)**(1/n)). Both are upper bounds
+    on the root: at either point one of the two positive terms alone already
+    reaches rhs, so the polynomial is >= 0 there. On x > 0 the polynomial is
+    increasing and convex, so Newton steps from above stay above the root and
+    fall monotonically onto it. Returns once the relative step drops below
+    1e-12; raises SolverDidNotConverge if that takes more than 200 steps or
+    if x**n leaves the float range.
     """
-    lo = 0.0
-    hi = rhs / slope
-    x = hi
-    for _ in range(_MAX_ITER):
-        f = coeff * x ** n + slope * x - rhs
-        if f > 0.0:
-            hi = x
-        elif f < 0.0:
-            lo = x
-        else:
-            return x
-        step = f / (n * coeff * x ** (n - 1) + slope)
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
-            return x_new
-        x = x_new
-    return x
+    x = min(rhs / slope, (rhs / coeff) ** (1.0 / n))
+    try:
+        for _ in range(_MAX_ITER):
+            x_new = x - (coeff * x ** n + slope * x - rhs) \
+                / (n * coeff * x ** (n - 1) + slope)
+            if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
+                return x_new
+            x = x_new
+    except OverflowError:
+        pass
+    raise SolverDidNotConverge(
+        f"budget root of {coeff!r}*b**{n} + {slope!r}*b = {rhs!r} not reached "
+        f"in floating point within {_MAX_ITER} Newton steps (last iterate {x!r})"
+    )
 
 
 def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
@@ -335,7 +336,8 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     so the positive root exists and is unique.
 
     Raises NonPositiveBudget if the right side is not positive (impossible
-    under the type invariants; kept as a guard).
+    under the type invariants; kept as a guard) and SolverDidNotConverge if
+    the root cannot be found in floating point.
     """
     rhs = (1.0 - params.alpha) * params.p_a + b_prev
     if rhs <= 0.0:
@@ -345,15 +347,6 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     coeff = (1.0 + params.gamma) * params.law.a
     slope = 1.0 + params.wealth_tax_rate(k)
     return _positive_root(coeff, params.law.n, slope, rhs)
-
-
-def debt_drift(params: ConsumerParams, g_k: float, b_k: float, k: int) -> float:
-    """Non-interest change of the per-capita debt in year k: expenditure minus
-    the consumer's full tax bill (income, wealth-levy, and consumption parts)."""
-    law = params.law
-    return (g_k - params.alpha * params.p_a) \
-        - params.wealth_tax_rate(k) * b_k \
-        - params.gamma * law.a * b_k ** law.n
 
 
 def debt_step(debt: DebtParams, d_prev: float, drift: float) -> float:

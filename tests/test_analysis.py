@@ -14,8 +14,10 @@ from debtdyn import (
     ConstantSchedule,
     ConsumerParams,
     ConsumptionLaw,
+    DebtNotFinite,
     DebtParams,
     ExplicitSchedule,
+    FixedPointOutOfRange,
     LinearSchedule,
     RegimeError,
     Scenario,
@@ -63,6 +65,12 @@ def test_fixed_point_cubic_law():
     assert consumer_step(cons, b_lam, 1) == pytest.approx(b_lam, rel=1e-10)
 
 
+@pytest.mark.parametrize("p_a,a", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_fixed_point_outside_the_float_range_is_a_model_error(p_a, a):
+    with pytest.raises(FixedPointOutOfRange):
+        fixed_point(make_consumer(p_a=p_a, a=a))
+
+
 def test_fixed_point_general_rates():
     # alpha != gamma uses the same derivation; the step map must still hold it
     cons = make_consumer(alpha=0.1, gamma=0.35)
@@ -99,6 +107,26 @@ def test_simulate_accepts_zero_rate(baseline_scenario):
     scenario = replace(baseline_scenario, debt=constant_debt(r=0.0))
     traj = simulate(scenario)
     assert np.all(np.isfinite(traj.debt))
+
+
+def overflowing(baseline_scenario, d0=1e6, g0=30.0):
+    # (1+r)**k leaves the float range near year 1,100
+    return replace(baseline_scenario, b0=20.0, horizon=2000,
+                   debt=constant_debt(r=0.9, d0=d0, g0=g0))
+
+
+def test_debt_overflow_is_a_named_error(baseline_scenario):
+    scenario = overflowing(baseline_scenario)
+    with pytest.raises(DebtNotFinite, match="float range in year"):
+        simulate(scenario)
+    with pytest.raises(DebtNotFinite):
+        debt_closed_form(scenario.debt, scenario.consumer, scenario.horizon)
+    # zero drift from zero debt: the recursion stays at 0, but the closed
+    # form's growth factors still overflow
+    zero = overflowing(baseline_scenario, d0=0.0, g0=40.0)
+    assert np.all(simulate(zero).debt == 0.0)
+    with pytest.raises(DebtNotFinite):
+        debt_closed_form(zero.debt, zero.consumer, zero.horizon)
 
 
 def test_simulate_rejects_short_explicit_schedule(baseline_scenario):
@@ -469,6 +497,13 @@ def test_sweep_captures_per_point_errors(baseline_scenario):
     assert points[0].final_debt is not None  # the recursion itself works at alpha = 0
     assert points[1].error is None
     assert points[2].report is None and points[2].final_debt is None
+
+
+def test_sweep_reports_debt_overflow_per_point(baseline_scenario):
+    low, high = sweep(replace(baseline_scenario, horizon=2000), "r", [0.05, 0.9])
+    assert low.error is None and math.isfinite(low.final_debt)
+    assert high.final_debt is None and "float range" in high.error
+    assert high.report is not None
 
 
 def test_sweep_rejects_structural_misuse(baseline_scenario):

@@ -240,6 +240,27 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "consumer.alpha" in capsys.readouterr().err
 
 
+def test_fixed_point_underflow_without_b0_exits_one(tmp_path, capsys):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(BASELINE.replace("p_a: 100.0", "p_a: 1.0e-300")
+                    .replace("a: 0.15", "a: 1.0e+300").replace("b0: 18.0\n  ", ""))
+    assert cli.main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: run.b0: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--format", "json"],
+    ["closed-form"],
+])
+def test_debt_overflow_exits_one_with_no_output(argv, tmp_path, capsys):
+    path = tmp_path / "overflow.yaml"
+    path.write_text(BASELINE.replace("r: 0.05", "r: 0.9").replace("D0: 100.0", "D0: 1.0e+6")
+                    .replace("horizon: 10", "horizon: 2000"))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "float range" in err
+
+
 def test_unknown_subcommand_is_cli_misuse(baseline_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate", baseline_path])

@@ -145,6 +145,14 @@ def test_range_errors_name_the_file_path(old, new, path):
     assert str(excinfo.value).startswith(f"{path}: must ")
 
 
+def test_fixed_point_underflow_needs_an_explicit_b0():
+    doc = RANGE_DOC.replace("p_a: 100.0", "p_a: 1.0e-300").replace("a: 0.15", "a: 1.0e+300")
+    with pytest.raises(ValidationError) as excinfo:
+        load_scenario(doc)
+    assert str(excinfo.value).startswith("run.b0: ")
+    assert load_scenario(doc.replace("horizon: 10", "b0: 1.0\n  horizon: 10")).b0 == 1.0
+
+
 def test_nonnumeric_field_is_a_validation_error():
     doc = """
 consumer:

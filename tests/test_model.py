@@ -1,7 +1,8 @@
 """Unit tests for the single-step dynamics and the domain types."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from debtdyn import (
@@ -14,9 +15,11 @@ from debtdyn import (
     NonPositiveBudget,
     Scenario,
     ScheduleTooShort,
+    SolverDidNotConverge,
     consumer_step,
-    debt_drift,
     debt_step,
+    model,
+    simulate,
     tax,
 )
 from helpers import quad_root
@@ -89,33 +92,41 @@ def test_step_rejects_nonpositive_balance():
         consumer_step(cons, -200.0, 1)
 
 
-@given(
-    alpha=st.floats(0.0, 0.9),
-    gamma=st.floats(0.0, 1.0),
-    p_a=st.floats(1.0, 1e4),
-    a=st.floats(1e-4, 10.0),
-    n=st.integers(2, 6),
-    b_prev=st.floats(1e-3, 1e5),
-)
-def test_step_root_satisfies_its_polynomial(alpha, gamma, p_a, a, n, b_prev):
-    cons = make_consumer(alpha=alpha, gamma=gamma, p_a=p_a, a=a, n=n)
+def full_domain(test):
+    """Draw the step's inputs from its full valid domain: a down to 1e-12, n
+    up to 20, budgets up to 1e12, the levy year on and off. The examples once
+    exhausted the iteration cap (rhs = 1e9 and 1e12 exactly) or overflowed
+    x**n (n = 30)."""
+    for a, n, b_prev, p_a, rate in ((1e-9, 12, 1e9 - 1.0, 1.0, 0.0),
+                                    (1e-12, 20, 1e12 - 1.0, 1.0, 0.0),
+                                    (1e-3, 30, 1e12, 100.0, 0.25)):
+        test = example(alpha=rate, beta=0.0, gamma=rate, p_a=p_a, a=a, n=n,
+                       b_prev=b_prev, in_levy_year=False)(test)
+    return given(
+        alpha=st.floats(0.0, 0.9),
+        beta=st.floats(0.0, 0.9),
+        gamma=st.floats(0.0, 1.0),
+        p_a=st.floats(1.0, 1e4),
+        a=st.floats(1e-12, 1e3),
+        n=st.integers(2, 20),
+        b_prev=st.floats(1e-3, 1e12),
+        in_levy_year=st.booleans(),
+    )(test)
+
+
+@full_domain
+def test_step_root_satisfies_its_polynomial(alpha, beta, gamma, p_a, a, n, b_prev,
+                                            in_levy_year):
+    cons = make_consumer(alpha=alpha, beta=beta, gamma=gamma, p_a=p_a, a=a, n=n, m=3)
+    k = 3 if in_levy_year else 1
     rhs = (1.0 - alpha) * p_a + b_prev
-    b = consumer_step(cons, b_prev, 1)
+    b = consumer_step(cons, b_prev, k)
     assert b > 0.0
-    residual = (1.0 + gamma) * a * b ** n + b - rhs
+    residual = (1.0 + gamma) * a * b ** n + (1.0 + cons.wealth_tax_rate(k)) * b - rhs
     assert abs(residual) < 1e-10 * rhs
 
 
-@given(
-    alpha=st.floats(0.0, 0.9),
-    beta=st.floats(0.0, 0.9),
-    gamma=st.floats(0.0, 1.0),
-    p_a=st.floats(1.0, 1e4),
-    a=st.floats(1e-4, 10.0),
-    n=st.integers(2, 6),
-    b_prev=st.floats(1e-3, 1e5),
-    in_levy_year=st.booleans(),
-)
+@full_domain
 def test_step_accounting_identity(alpha, beta, gamma, p_a, a, n, b_prev, in_levy_year):
     # b_k - b_{k-1} = (p_a - tau_k) - c_k, up to the root solver tolerance
     cons = make_consumer(alpha=alpha, beta=beta, gamma=gamma, p_a=p_a, a=a, n=n, m=3)
@@ -125,6 +136,19 @@ def test_step_accounting_identity(alpha, beta, gamma, p_a, a, n, b_prev, in_levy
     t = tax(cons, b, c, k)
     residual = b - b_prev - (p_a - t) + c
     assert abs(residual) < 1e-9 * max(p_a, b, b_prev)
+
+
+def test_step_outside_the_float_range_is_a_named_error():
+    # the root is near 2e8, where b**40 overflows
+    cons = make_consumer(alpha=0.0, gamma=0.0, a=5e-324, n=40)
+    with pytest.raises(SolverDidNotConverge):
+        consumer_step(cons, 1e12, 1)
+
+
+def test_step_never_returns_an_unconverged_root(monkeypatch):
+    monkeypatch.setattr(model, "_MAX_ITER", 1)
+    with pytest.raises(SolverDidNotConverge):
+        consumer_step(make_consumer(), 18.0, 1)
 
 
 def test_step_contracts_toward_the_fixed_point():
@@ -149,23 +173,26 @@ def test_step_ignores_wealth_tax_before_year_m():
 
 
 # ---------------------------------------------------------------------------
-# debt_drift / debt_step
+# drift / debt_step
 # ---------------------------------------------------------------------------
 
-def test_drift_untaxed_state_is_pure_expenditure():
-    cons = make_consumer(alpha=0.0, gamma=0.0)
-    assert debt_drift(cons, 30.0, 12.0, 1) == 30.0
+def drift(cons, g_k, b_k, k):
+    return g_k - tax(cons, b_k, cons.law.consumption(b_k), k)
 
 
-def test_drift_at_the_baseline_fixed_point():
-    cons = make_consumer()
-    assert debt_drift(cons, 30.0, 20.0, 1) == pytest.approx(-10.0, rel=1e-12)
+def test_simulate_drift_is_expenditure_minus_tax():
+    cons = make_consumer(beta=0.1, m=3)
+    schedule = ExplicitSchedule(values=(30.0, 35.0, 25.0, 40.0))
+    traj = simulate(Scenario(consumer=cons, b0=18.0, horizon=4,
+                             debt=DebtParams(r=0.05, d0=100.0, schedule=schedule)))
+    assert np.array_equal(traj.delta[1:], np.array(schedule.values) - traj.tau[1:])
+    assert traj.tau[3] > traj.tau[2]  # the levy year is taxed
 
-
-def test_drift_in_the_wealth_tax_year():
-    cons = make_consumer(gamma=0.0, beta=0.1, m=7)
-    assert debt_drift(cons, 25.0, 200.0, 7) == pytest.approx(-20.0, rel=1e-12)
-    assert debt_drift(cons, 25.0, 200.0, 6) == 0.0
+    assert drift(make_consumer(alpha=0.0, gamma=0.0), 30.0, 12.0, 1) == 30.0
+    assert drift(make_consumer(), 30.0, 20.0, 1) == pytest.approx(-10.0, rel=1e-12)
+    levy = make_consumer(gamma=0.0, beta=0.1, m=7)
+    assert drift(levy, 25.0, 200.0, 7) == pytest.approx(-20.0, rel=1e-12)
+    assert drift(levy, 25.0, 200.0, 6) == 0.0
 
 
 def test_debt_step_zero_initial_debt():
