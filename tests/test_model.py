@@ -188,11 +188,21 @@ def test_simulate_drift_is_expenditure_minus_tax():
     assert np.array_equal(traj.delta[1:], np.array(schedule.values) - traj.tau[1:])
     assert traj.tau[3] > traj.tau[2]  # the levy year is taxed
 
-    assert drift(make_consumer(alpha=0.0, gamma=0.0), 30.0, 12.0, 1) == 30.0
-    assert drift(make_consumer(), 30.0, 20.0, 1) == pytest.approx(-10.0, rel=1e-12)
-    levy = make_consumer(gamma=0.0, beta=0.1, m=7)
-    assert drift(levy, 25.0, 200.0, 7) == pytest.approx(-20.0, rel=1e-12)
-    assert drift(levy, 25.0, 200.0, 6) == 0.0
+
+def test_drift_untaxed_state_is_pure_expenditure():
+    cons = make_consumer(alpha=0.0, gamma=0.0)
+    assert drift(cons, 30.0, 12.0, 1) == 30.0
+
+
+def test_drift_at_the_baseline_fixed_point():
+    cons = make_consumer()
+    assert drift(cons, 30.0, 20.0, 1) == pytest.approx(-10.0, rel=1e-12)
+
+
+def test_drift_in_the_wealth_tax_year():
+    cons = make_consumer(gamma=0.0, beta=0.1, m=7)
+    assert drift(cons, 25.0, 200.0, 7) == pytest.approx(-20.0, rel=1e-12)
+    assert drift(cons, 25.0, 200.0, 6) == 0.0
 
 
 def test_debt_step_zero_initial_debt():
