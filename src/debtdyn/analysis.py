@@ -19,6 +19,7 @@ from .model import (
     ConstantSchedule,
     ConsumerParams,
     DebtParams,
+    ExplicitSchedule,
     LinearSchedule,
     ModelError,
     Scenario,
@@ -147,19 +148,31 @@ def simulate(scenario: Scenario) -> Trajectory:
 # Closed forms
 # ---------------------------------------------------------------------------
 
+_MAX_LOG_GROWTH = 256 * math.log(2.0)  # growth factors of one block stay below 2**256
+
+
 def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
     """Debt series from an arbitrary drift sequence:
 
         D_k = (1+r)**k * (D0 + sum_{i=1..k} drift_i / (1+r)**i)
 
-    Valid for any drifts, any r >= 0; returns D_1..D_K. Raises DebtNotFinite
-    once the growth factors, and so the series, leave the float range.
+    Valid for any drifts, any r >= 0; returns D_1..D_K. The formula restarts
+    from the last value every B years, B as large as keeps (1+r)**B below
+    2**256 (one block at r = 0), so the growth factors never overflow.
+    Raises DebtNotFinite once the series leaves the float range.
     """
     drifts = np.asarray(drifts, dtype=float)
+    log_growth = math.log1p(debt.r)
+    max_block = _MAX_LOG_GROWTH / log_growth if log_growth else math.inf
+    block = max(1, int(min(len(drifts), max_block)))
+    blocks, start = [np.empty(0)], debt.d0
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = (1.0 + debt.r) ** np.arange(1, len(drifts) + 1)
-        series = growth * (debt.d0 + np.cumsum(drifts / growth))
-    return _finite_debt(series, first_year=1)
+        for lo in range(0, len(drifts), block):
+            chunk = drifts[lo:lo + block]
+            growth = (1.0 + debt.r) ** np.arange(1, len(chunk) + 1)
+            blocks.append(growth * (start + np.cumsum(chunk / growth)))
+            start = blocks[-1][-1]
+    return _finite_debt(np.concatenate(blocks), first_year=1)
 
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
@@ -223,23 +236,32 @@ class ConditionReport:
     rhs_limit: float | None = None
 
 
-def _discounted_annuity(r: float, j: int) -> float:
-    # sum_{i=1..j} (1+r)**-i; continuous extension j at r = 0.
-    if j <= 0:
-        return 0.0
-    if r == 0.0:
-        return float(j)
-    growth = (1.0 + r) ** j
-    return (growth - 1.0) / (r * growth)
+_REGIMES = {ConstantSchedule: ConditionRegime.CONSTANT_G,
+            LinearSchedule: ConditionRegime.LINEAR_G,
+            ExplicitSchedule: ConditionRegime.GENERAL_SCHEDULE}
+
+
+def _condition_year(debt: DebtParams, k: int | None) -> int | None:
+    """None for a constant schedule, whose condition holds in every year or
+    in none; otherwise ``k``, which must be given and >= 1."""
+    if isinstance(debt.schedule, ConstantSchedule):
+        return None
+    if k is None:
+        raise ValueError("year k is required for a non-constant schedule")
+    if k < 1:
+        raise ValueError(f"year k must be >= 1, got {k!r}")
+    return k
 
 
 def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
                        k: int | None = None) -> ConditionReport:
-    """Evaluate the strict decrease condition D_{k+1} < D_k at the fixed point.
+    """Evaluate the strict decrease condition D_k < D_{k-1} at the fixed point:
 
-    For a Constant schedule the condition is year-independent and ``k`` is
-    ignored. Linear and Explicit schedules make it year-dependent, so ``k``
-    (>= 1) is required; Explicit schedules must cover year k.
+        2*alpha*p_a/(1+alpha) > g_1 + r*D0 + sum_{j=1..k-1} (g_{j+1} - g_j) * (1+r)**-j
+
+    for every schedule, every r >= 0 and every year. For a Constant schedule
+    the sum is empty and ``k`` is ignored; Linear and Explicit schedules need
+    ``k`` (>= 1), and Explicit schedules must cover year k.
 
     Raises AlphaIsZero at alpha = 0 (the tax intake is zero, so taxation can
     never shrink the debt) and RegimeError outside beta = 0, alpha = gamma.
@@ -250,35 +272,18 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
 
     lhs = _fixed_point_surplus(consumer)
     schedule = debt.schedule
+    k = _condition_year(debt, k)
     rd0 = debt.r * debt.d0
-
-    if isinstance(schedule, ConstantSchedule):
-        rhs = schedule.g0 + rd0
-        return ConditionReport(lhs=lhs, rhs=rhs, margin=lhs - rhs,
-                               holds=lhs - rhs > 0, regime=ConditionRegime.CONSTANT_G)
-
-    if k is None:
-        raise ValueError("year k is required for a non-constant schedule")
-    if k < 1:
-        raise ValueError(f"year k must be >= 1, got {k!r}")
-
-    if isinstance(schedule, LinearSchedule):
-        rhs = schedule.g1 + rd0 + schedule.delta_g * _discounted_annuity(debt.r, k - 1)
-        limit = None
-        if debt.r > 0.0:
-            limit = schedule.g1 + rd0 + schedule.delta_g / debt.r
-        return ConditionReport(lhs=lhs, rhs=rhs, margin=lhs - rhs,
-                               holds=lhs - rhs > 0, regime=ConditionRegime.LINEAR_G,
-                               k=k, rhs_limit=limit)
-
-    schedule.value_at(k)  # raises ScheduleTooShort past the listed years
-    values = schedule.values
-    rhs = values[0] + rd0 + sum(
-        (values[j] - values[j - 1]) / (1.0 + debt.r) ** j for j in range(1, k)
-    )
-    return ConditionReport(lhs=lhs, rhs=rhs, margin=lhs - rhs,
-                           holds=lhs - rhs > 0,
-                           regime=ConditionRegime.GENERAL_SCHEDULE, k=k)
+    g = schedule.value_at
+    # Summing from year k down reads g_k first, so a schedule too short for
+    # year k raises ScheduleTooShort naming k.
+    rhs = g(1) + rd0 + sum((g(j + 1) - g(j)) * (1.0 + debt.r) ** -j
+                           for j in range((k or 1) - 1, 0, -1))
+    limit = None
+    if isinstance(schedule, LinearSchedule) and debt.r > 0.0:
+        limit = schedule.g1 + rd0 + schedule.delta_g / debt.r
+    return ConditionReport(lhs=lhs, rhs=rhs, margin=lhs - rhs, holds=lhs - rhs > 0,
+                           regime=_REGIMES[type(schedule)], k=k, rhs_limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +317,7 @@ def _with_value(base: Scenario, axis: str, value: float) -> Scenario:
         return replace(base, debt=replace(base.debt, r=value))
     if axis == "D0":
         return replace(base, debt=replace(base.debt, d0=value))
-    if axis == "g0":
-        return replace(base, debt=replace(base.debt, schedule=ConstantSchedule(g0=value)))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    return replace(base, debt=replace(base.debt, schedule=ConstantSchedule(g0=value)))
 
 
 def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPoint]:
@@ -322,12 +325,14 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
     each grid value of one parameter, in input order.
 
     The "alpha" axis moves alpha and gamma together (the condition requires
-    equal rates); "g0" requires the base schedule to be Constant.
+    equal rates); "g0" requires the base schedule to be Constant. Like an
+    unknown axis, a missing or invalid year ``k`` raises ValueError up front.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == "g0" and not isinstance(base.debt.schedule, ConstantSchedule):
         raise ValueError("sweep axis 'g0' requires a constant expenditure schedule")
+    _condition_year(base.debt, k)
 
     points = []
     for raw in grid:
@@ -343,7 +348,7 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
         final_debt = None
         try:
             report = decrease_condition(scenario.consumer, scenario.debt, k)
-        except (ModelError, ValueError) as exc:
+        except ModelError as exc:
             errors.append(str(exc))
         try:
             final_debt = float(simulate(scenario).debt[-1])

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 
@@ -59,6 +60,15 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _year_missing(scenario, year: int | None) -> bool:
+    """Report a missing --year for a year-dependent schedule on stderr."""
+    missing = year is None and not isinstance(scenario.debt.schedule, ConstantSchedule)
+    if missing:
+        print("error: --year is required for linear/explicit expenditure schedules",
+              file=sys.stderr)
+    return missing
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -96,23 +106,13 @@ def cmd_closed_form(args) -> int:
 
 def cmd_condition(args) -> int:
     scenario = _load(args.scenario)
-    if not isinstance(scenario.debt.schedule, ConstantSchedule) and args.year is None:
-        print("error: --year is required for linear/explicit expenditure schedules",
-              file=sys.stderr)
+    if _year_missing(scenario, args.year):
         return 2
     report = analysis.decrease_condition(scenario.consumer, scenario.debt, args.year)
 
     if args.format == "json":
-        doc = {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "margin": report.margin,
-            "holds": report.holds,
-            "regime": report.regime.value,
-            "k": report.k,
-            "rhs_limit": report.rhs_limit,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        # every report field, in declaration order; the regime is a str enum
+        _emit(json.dumps(asdict(report), indent=2) + "\n", args.output)
         return 0
 
     verdict = ("debt decreases steadily" if report.holds
@@ -146,10 +146,7 @@ def cmd_fixed_point(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load(args.scenario)
-    if (not isinstance(scenario.debt.schedule, ConstantSchedule)
-            and args.axis != "g0" and args.year is None):
-        print("error: --year is required for linear/explicit expenditure schedules",
-              file=sys.stderr)
+    if args.axis != "g0" and _year_missing(scenario, args.year):
         return 2
     points = analysis.sweep(scenario, args.axis, args.grid, k=args.year)
 
@@ -239,10 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (io.ParseError, io.ValidationError, ModelError) as exc:
+    except (FileNotFoundError, io.ParseError, io.ValidationError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # bad year/axis combinations are usage errors

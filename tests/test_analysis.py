@@ -31,7 +31,6 @@ from debtdyn import (
     simulate,
     sweep,
 )
-from debtdyn.analysis import _discounted_annuity
 from helpers import quad_root, random_general_scenario
 
 
@@ -121,12 +120,11 @@ def test_debt_overflow_is_a_named_error(baseline_scenario):
         simulate(scenario)
     with pytest.raises(DebtNotFinite):
         debt_closed_form(scenario.debt, scenario.consumer, scenario.horizon)
-    # zero drift from zero debt: the recursion stays at 0, but the closed
-    # form's growth factors still overflow
+    # zero drift from zero debt: the recursion and the closed form both stay
+    # at 0, although (1+r)**k leaves the float range
     zero = overflowing(baseline_scenario, d0=0.0, g0=40.0)
     assert np.all(simulate(zero).debt == 0.0)
-    with pytest.raises(DebtNotFinite):
-        debt_closed_form(zero.debt, zero.consumer, zero.horizon)
+    assert np.all(debt_closed_form(zero.debt, zero.consumer, zero.horizon) == 0.0)
 
 
 def test_simulate_rejects_short_explicit_schedule(baseline_scenario):
@@ -207,6 +205,12 @@ def test_fixed_point_closed_form_matches_recursion_from_b_lambda():
     traj = simulate(scenario)
     closed = debt_closed_form(debt, cons, 100)
     assert max_rel_deviation(closed, traj.debt[1:]) < 1e-9
+    # 1,200 years of zero drift from D0 = 0, then deficits: 1.9**k leaves the
+    # float range near year 1,100, the debt stays finite
+    values = (40.0,) * 1200 + tuple(41.0 + j for j in range(50))
+    late = DebtParams(r=0.9, d0=0.0, schedule=ExplicitSchedule(values=values))
+    traj = simulate(Scenario(consumer=cons, debt=late, b0=20.0, horizon=1250))
+    assert max_rel_deviation(debt_closed_form(late, cons, 1250), traj.debt[1:]) < 1e-9
 
 
 def test_fixed_point_closed_form_guards():
@@ -331,14 +335,15 @@ def test_condition_degenerate_linear_matches_constant():
 def test_condition_explicit_matches_linear_expansion():
     cons = make_consumer()
     g1, dg = 30.0, 1.0
-    linear = DebtParams(r=0.05, d0=100.0, schedule=LinearSchedule(g1=g1, delta_g=dg))
-    values = tuple((j - 1) * dg + g1 for j in range(1, 31))
-    explicit = DebtParams(r=0.05, d0=100.0, schedule=ExplicitSchedule(values=values))
-    for k in (1, 2, 7, 30):
-        lin = decrease_condition(cons, linear, k=k)
-        exp = decrease_condition(cons, explicit, k=k)
-        assert exp.rhs == pytest.approx(lin.rhs, rel=1e-12)
-        assert exp.holds == lin.holds
+    values = tuple((j - 1) * dg + g1 for j in range(1, 2001))
+    for r in (0.0, 0.05, 0.9):
+        linear = DebtParams(r=r, d0=100.0, schedule=LinearSchedule(g1=g1, delta_g=dg))
+        explicit = DebtParams(r=r, d0=100.0, schedule=ExplicitSchedule(values=values))
+        for k in (1, 2, 7, 30, 2000):
+            lin = decrease_condition(cons, linear, k=k)
+            exp = decrease_condition(cons, explicit, k=k)
+            assert exp.rhs == pytest.approx(lin.rhs, rel=1e-12)
+            assert exp.holds == lin.holds
 
 
 def test_condition_guards():
@@ -369,7 +374,7 @@ def test_condition_report_holds_iff_positive_margin():
 @settings(max_examples=30)
 @given(
     alpha=st.floats(0.05, 0.5),
-    r=st.floats(0.001, 0.2),
+    r=st.floats(0.0, 0.2),
     d0=st.floats(0.0, 1000.0),
     g0=st.floats(0.0, 100.0),
 )
@@ -391,19 +396,29 @@ def test_condition_matches_debt_monotonicity(alpha, r, d0, g0):
 # ---------------------------------------------------------------------------
 
 def test_geometric_identity_through_k200():
+    # With g1 = delta_g = 1 and D0 = 0, the threshold at year k+1 is 1 plus
+    # the annuity factor sum_{j=1..k} (1+r)**-j.
+    cons = make_consumer()
     for r in (0.001, 0.02, 0.05, 0.19):
         growth = 1.0 + r
+        debt = DebtParams(r=r, d0=0.0, schedule=LinearSchedule(g1=1.0, delta_g=1.0))
         brute = 0.0
         for k in range(1, 201):
             brute += growth ** -k
             closed = (growth ** k - 1.0) / (r * growth ** k)
             assert closed == pytest.approx(brute, rel=1e-12)
-            assert _discounted_annuity(r, k) == pytest.approx(brute, rel=1e-12)
+            annuity = decrease_condition(cons, debt, k=k + 1).rhs - 1.0
+            assert annuity == pytest.approx(brute, rel=1e-12)
 
 
 def test_annuity_factor_extends_continuously_to_zero_rate():
-    assert _discounted_annuity(0.0, 7) == 7.0
-    assert _discounted_annuity(0.05, 0) == 0.0
+    # The annuity factor of year k is k - 1 at r = 0, and 0 in year 1 at any r.
+    cons = make_consumer()
+    linear = LinearSchedule(g1=30.0, delta_g=1.0)
+    at_zero = DebtParams(r=0.0, d0=100.0, schedule=linear)
+    assert decrease_condition(cons, at_zero, k=8).rhs == 37.0
+    at_five = DebtParams(r=0.05, d0=100.0, schedule=linear)
+    assert decrease_condition(cons, at_five, k=1).rhs == 35.0
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +529,9 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
                                      schedule=LinearSchedule(g1=30.0, delta_g=1.0)))
     with pytest.raises(ValueError):
         sweep(linear, "g0", [1.0])
+    for k in (None, 0):
+        with pytest.raises(ValueError, match="year k"):
+            sweep(linear, "D0", [1.0], k=k)
 
 
 # ---------------------------------------------------------------------------

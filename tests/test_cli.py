@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,7 @@ def test_structural_misuse_exits_two(tmp_path, baseline_path, capsys):
                            "schedule: {kind: linear, g1: 30.0, deltaG: 1.0}")
     assert cli.main(["condition", linear, "-k", "0"]) == 2
     assert cli.main(["sweep", linear, "--axis", "g0", "--grid", "30,40"]) == 2
+    assert cli.main(["sweep", linear, "--axis", "D0", "--grid", "0,1", "-k", "0"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -259,6 +261,30 @@ def test_debt_overflow_exits_one_with_no_output(argv, tmp_path, capsys):
     assert cli.main([argv[0], str(path), *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "float range" in err
+
+
+def test_high_rate_over_long_horizons_exits_zero(tmp_path, capsys):
+    linear = tmp_path / "linear.yaml"
+    linear.write_text(BASELINE.replace("r: 0.05", "r: 0.9").replace(
+        "schedule: {kind: constant, g0: 30.0}",
+        "schedule: {kind: linear, g1: 30.0, deltaG: 1.0}"))
+    assert cli.main(["condition", str(linear), "-k", "2000", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rhs"] == pytest.approx(doc["rhs_limit"], rel=1e-12)
+    assert cli.main(["sweep", str(linear), "--axis", "D0", "--grid", "0,1", "-k", "2000",
+                     "--format", "json"]) == 0
+    for point in json.loads(capsys.readouterr().out):
+        assert point["error"] is None
+        assert all(math.isfinite(point[key]) for key in ("rhs", "margin", "final_D"))
+    # zero drift from D0 = 0: the closed form stays at 0 past the overflow
+    # of (1+r)**k
+    zero = tmp_path / "zero.yaml"
+    zero.write_text(BASELINE.replace("r: 0.05", "r: 0.9").replace("D0: 100.0", "D0: 0.0")
+                    .replace("g0: 30.0", "g0: 40.0").replace("b0: 18.0", "b0: 20.0")
+                    .replace("horizon: 10", "horizon: 2000"))
+    assert cli.main(["closed-form", str(zero), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["D_recursive"] == doc["D_closed_form"] == [0.0] * 2001
 
 
 def test_unknown_subcommand_is_cli_misuse(baseline_path):
