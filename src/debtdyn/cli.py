@@ -45,10 +45,6 @@ def parse_grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}; {_GRID_HELP}")
 
 
-def _load(path: str) -> "io.Scenario":
-    return io.load_scenario(Path(path).read_text(encoding="utf-8"))
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -73,15 +69,13 @@ def _year_missing(scenario, year: int | None) -> bool:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args.scenario)
+def cmd_simulate(scenario, args) -> int:
     traj = analysis.simulate(scenario)
     _emit(io.write_trajectory(traj, format=args.format), args.output)
     return 0
 
 
-def cmd_closed_form(args) -> int:
-    scenario = _load(args.scenario)
+def cmd_closed_form(scenario, args) -> int:
     recursive = analysis.simulate(scenario).debt.tolist()
     closed = [scenario.debt.d0] + analysis.debt_closed_form(
         scenario.debt, scenario.consumer, scenario.horizon).tolist()
@@ -104,8 +98,7 @@ def cmd_closed_form(args) -> int:
     return 0
 
 
-def cmd_condition(args) -> int:
-    scenario = _load(args.scenario)
+def cmd_condition(scenario, args) -> int:
     if _year_missing(scenario, args.year):
         return 2
     report = analysis.decrease_condition(scenario.consumer, scenario.debt, args.year)
@@ -134,8 +127,7 @@ def cmd_condition(args) -> int:
     return 0
 
 
-def cmd_fixed_point(args) -> int:
-    scenario = _load(args.scenario)
+def cmd_fixed_point(scenario, args) -> int:
     fp = analysis.fixed_point(scenario.consumer)
     if args.format == "json":
         _emit(json.dumps({"b_lambda": fp.b_lambda}) + "\n", args.output)
@@ -144,8 +136,7 @@ def cmd_fixed_point(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    scenario = _load(args.scenario)
+def cmd_sweep(scenario, args) -> int:
     if args.axis != "g0" and _year_missing(scenario, args.year):
         return 2
     points = analysis.sweep(scenario, args.axis, args.grid, k=args.year)
@@ -232,10 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        scenario = io.load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        return args.func(scenario, args)
     except (FileNotFoundError, io.ParseError, io.ValidationError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

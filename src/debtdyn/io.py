@@ -206,10 +206,17 @@ def scenario_from_mapping(doc) -> Scenario:
                   horizon=_field(run, "run", "horizon", _integer))
 
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
+
+
 def load_scenario(document: str) -> Scenario:
-    """Parse and validate a YAML scenario document."""
+    """Parse and validate a YAML scenario document. A document that libyaml
+    rejects is parsed again in pure Python, whose error quotes the line."""
     try:
-        doc = yaml.safe_load(document)
+        try:
+            doc = yaml.load(document, Loader=_LOADER)
+        except yaml.YAMLError:
+            doc = yaml.safe_load(document)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -257,16 +264,10 @@ def _cell(x: float) -> str:
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
-    lines = ["k,b,c,tau,delta,D"]
-    for k in range(traj.horizon + 1):
-        lines.append(",".join([
-            str(k),
-            format_number(traj.b[k]),
-            _cell(traj.c[k]),
-            _cell(traj.tau[k]),
-            _cell(traj.delta[k]),
-            format_number(traj.debt[k]),
-        ]))
+    rows = zip(traj.b, traj.c, traj.tau, traj.delta, traj.debt)
+    lines = ["k,b,c,tau,delta,D"] + [
+        f"{k},{format_number(b)},{_cell(c)},{_cell(t)},{_cell(dt)},{format_number(d)}"
+        for k, (b, c, t, dt, d) in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 

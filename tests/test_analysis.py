@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debtdyn import (
@@ -19,7 +20,9 @@ from debtdyn import (
     ExplicitSchedule,
     FixedPointOutOfRange,
     LinearSchedule,
+    ModelError,
     RegimeError,
+    SWEEP_AXES,
     Scenario,
     ScheduleTooShort,
     consumer_step,
@@ -31,7 +34,11 @@ from debtdyn import (
     simulate,
     sweep,
 )
+from debtdyn.analysis import _with_value
+from debtdyn.io import load_scenario
 from helpers import quad_root, random_general_scenario
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def make_consumer(alpha=0.25, beta=0.0, gamma=0.25, p_a=100.0, a=0.15, n=2, m=None):
@@ -395,6 +402,21 @@ def test_condition_matches_debt_monotonicity(alpha, r, d0, g0):
 # geometric identity and annuity factor
 # ---------------------------------------------------------------------------
 
+def test_condition_sum_stops_where_the_discount_underflows():
+    # at r = 0.05, (1+r)**-j is exactly 0.0 from j = 15,273 on, so no year
+    # past that can change rhs, and year 10**8 costs what year 20,000 does
+    s = load_scenario((SCENARIOS / "linear_expenditure.yaml").read_text())
+    far = decrease_condition(s.consumer, s.debt, 10**8)
+    assert far.rhs == decrease_condition(s.consumer, s.debt, 20_000).rhs
+    g = s.debt.schedule.value_at  # every term of year 20,000's sum, largest j first
+    assert far.rhs == g(1) + 5.0 + sum((g(j + 1) - g(j)) * 1.05 ** -j
+                                       for j in range(19_999, 0, -1))
+    assert far.k == 10**8 and far.rhs_limit == s.debt.schedule.g1 + 5.0 + 20.0
+    short = replace(s.debt, schedule=ExplicitSchedule(values=(30.0, 31.0)))
+    with pytest.raises(ScheduleTooShort, match="year 100000000 requested"):
+        decrease_condition(s.consumer, short, 10**8)
+
+
 def test_geometric_identity_through_k200():
     # With g1 = delta_g = 1 and D0 = 0, the threshold at year k+1 is 1 plus
     # the annuity factor sum_{j=1..k} (1+r)**-j.
@@ -532,6 +554,117 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
     for k in (None, 0):
         with pytest.raises(ValueError, match="year k"):
             sweep(linear, "D0", [1.0], k=k)
+
+
+def per_point_oracle(base, axis, value, k):
+    """A sweep point computed on its own: `decrease_condition` and `simulate`
+    on the moved scenario, errors joined in that order."""
+    try:
+        scenario = _with_value(base, axis, value)
+    except (ModelError, ValueError) as exc:
+        return None, None, str(exc)
+    report = final_debt = None
+    errors = []
+    try:
+        report = decrease_condition(scenario.consumer, scenario.debt, k)
+    except ModelError as exc:
+        errors.append(str(exc))
+    try:
+        final_debt = float(simulate(scenario).debt[-1])
+    except ModelError as exc:
+        errors.append(str(exc))
+    return report, final_debt, "; ".join(errors) or None
+
+
+def assert_sweep_matches_simulate(base, axis, grid, k):
+    points = sweep(base, axis, grid, k=k)
+    assert [p.value for p in points] == [float(v) for v in grid]
+    for point in points:
+        report, final_debt, error = per_point_oracle(base, axis, point.value, k)
+        assert point.final_debt == final_debt  # bit for bit, None on failure
+        assert point.error == error
+        assert point.report == report
+    return points
+
+
+# a consumer whose very first budget step leaves the float range
+UNSOLVABLE = make_consumer(alpha=0.0, gamma=0.0, a=5e-324, n=40)
+
+AXIS_VALUES = {
+    "alpha": st.sampled_from([0.0, 0.1, 0.25, 0.6, 0.99, 1.5]),
+    "g0": st.sampled_from([0.0, 10.0, 30.0, 90.0, -1.0]),
+    "r": st.sampled_from([0.0, 0.01, 0.05, 0.9, -0.5]),
+    "D0": st.sampled_from([0.0, 1.0, 100.0, 1e6, -5.0]),
+    "p_a": st.sampled_from([0.0, 1.0, 60.0, 100.0, 1e4]),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    """A general base (alpha != gamma, a levy year inside the horizon, any
+    schedule kind, explicit ones sometimes too short, now and then a budget
+    that cannot be solved), an axis and a grid with repeated and invalid
+    values."""
+    horizon = draw(st.integers(1, 25))
+    unsolvable = draw(st.integers(0, 4)) == 0
+    consumer = UNSOLVABLE if unsolvable else make_consumer(
+        alpha=draw(st.floats(0.0, 0.6)), gamma=draw(st.floats(0.0, 0.8)),
+        beta=draw(st.floats(0.0, 0.5)), p_a=draw(st.floats(50.0, 200.0)),
+        a=draw(st.floats(0.01, 0.5)), n=draw(st.integers(2, 4)),
+        m=draw(st.integers(1, horizon)))
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    kind = "constant" if axis == "g0" else draw(
+        st.sampled_from(["constant", "linear", "explicit"]))
+    if kind == "constant":
+        schedule = ConstantSchedule(g0=draw(st.floats(0.0, 100.0)))
+    elif kind == "linear":
+        schedule = LinearSchedule(g1=draw(st.floats(1.0, 100.0)),
+                                  delta_g=draw(st.floats(-2.0, 2.0)))
+    else:
+        values = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=horizon + 2))
+        schedule = ExplicitSchedule(values=tuple(values))
+    debt = DebtParams(r=draw(st.floats(0.0, 0.2)), d0=draw(st.floats(0.0, 1e4)),
+                      schedule=schedule)
+    base = Scenario(consumer=consumer, debt=debt, horizon=horizon,
+                    b0=1e12 if unsolvable else draw(st.floats(1.0, 100.0)))
+    grid = draw(st.lists(AXIS_VALUES[axis], min_size=1, max_size=8))
+    return base, axis, grid, draw(st.integers(1, horizon + 3))
+
+
+@settings(max_examples=80)
+@given(sweep_cases())
+def test_sweep_equals_per_point_simulate(case):
+    assert_sweep_matches_simulate(*case)
+
+
+@pytest.mark.parametrize("horizon", [12, 2000])
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_equals_per_point_simulate_on_failing_points(axis, horizon):
+    base = Scenario(consumer=make_consumer(alpha=0.3, gamma=0.1, m=2),
+                    debt=constant_debt(), b0=18.0, horizon=horizon)
+    grid = {"alpha": [0.0, 0.25, 0.0, 1.5], "g0": [30.0, -1.0, 30.0],
+            "r": [0.05, 0.9, 0.05], "D0": [0.0, 1e300, 0.0],
+            "p_a": [100.0, 0.0, 100.0]}[axis]
+    points = assert_sweep_matches_simulate(base, axis, grid, k=None)
+    if axis == "alpha":
+        assert "degenerate at alpha = 0" in points[0].error
+    if axis == "r" and horizon == 2000:
+        assert "float range" in points[1].error
+        assert points[1].final_debt is None and points[2].final_debt is not None
+
+
+@pytest.mark.parametrize("values", [(30.0,) * 20, (30.0, 31.0, 33.0)])
+@pytest.mark.parametrize("axis", ["r", "D0"])
+def test_sweep_reports_a_short_schedule_before_a_solver_failure(axis, values):
+    base = Scenario(consumer=UNSOLVABLE,
+                    debt=DebtParams(r=0.05, d0=100.0, schedule=ExplicitSchedule(values)),
+                    b0=1e12, horizon=20)
+    points = assert_sweep_matches_simulate(base, axis, [0.0, 0.05, 0.0], k=3)
+    short = len(values) < base.horizon
+    for point in points:
+        assert point.final_debt is None
+        assert ("explicit schedule has 3 value(s), year 4 requested" in point.error) == short
+        assert ("budget root" in point.error) != short
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,29 @@ def test_high_rate_over_long_horizons_exits_zero(tmp_path, capsys):
     assert doc["D_recursive"] == doc["D_closed_form"] == [0.0] * 2001
 
 
+def test_main_is_reusable_within_one_process(baseline_path, tmp_path, capsys):
+    linear = write_variant(tmp_path, "linear.yaml", "{kind: constant, g0: 30.0}",
+                           "{kind: linear, g1: 30.0, deltaG: 1.0}")
+    runs = [["simulate", baseline_path], ["simulate", baseline_path, "--format", "json"],
+            ["closed-form", baseline_path], ["condition", linear, "-k", "7"],
+            ["fixed-point", baseline_path, "--format", "json"],
+            ["sweep", linear, "--axis", "r", "--grid", "0:0.2:5", "-k", "3"]]
+
+    def run_all():
+        outputs = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+        return outputs
+
+    first = run_all()
+    assert cli.main(["condition", linear]) == 2  # usage error: no --year
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", baseline_path, "--axis", "r", "--grid", "x"])
+    capsys.readouterr()
+    assert run_all() == first
+
+
 def test_unknown_subcommand_is_cli_misuse(baseline_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate", baseline_path])

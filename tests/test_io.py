@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from debtdyn import (
     ConstantSchedule,
@@ -19,7 +21,12 @@ from debtdyn import (
     simulate,
     write_trajectory,
 )
+from debtdyn import io
 from helpers import MALFORMED
+
+ROOT = Path(__file__).parent.parent
+CORPUS = sorted([*ROOT.glob("scenarios/*.yaml"), *ROOT.glob("tests/data/*.yaml"),
+                 *ROOT.glob("tests/data/malformed/*.yaml")])
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +84,26 @@ def test_malformed_corpus_yields_structured_errors(data_dir, name):
     with pytest.raises(exc_type, match=None) as excinfo:
         load_scenario((data_dir / "malformed" / name).read_text())
     assert fragment in str(excinfo.value)
+
+
+def _parsed(text: str, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_loader_agrees_with_the_pure_python_loader(path):
+    text = path.read_text()
+    assert _parsed(text, io._LOADER) == _parsed(text, yaml.SafeLoader)
+    try:
+        yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # a rejected document is reported with the pure-Python parser's message
+        with pytest.raises(ParseError) as excinfo:
+            load_scenario(text)
+        assert str(excinfo.value) == f"malformed scenario document: {exc}"
 
 
 @pytest.mark.parametrize("snippet,fragment", [
