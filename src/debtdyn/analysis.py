@@ -117,13 +117,20 @@ def _expenditure(debt: DebtParams, horizon: int) -> np.ndarray:
 def _budget_path(consumer: ConsumerParams, b0: float,
                  horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Budget, consumption and tax bill for years 0..K (c and tau NaN in year
-    0). The budget never reads the debt, so one path serves any DebtParams."""
+    0). The budget never reads the debt, so one path serves any DebtParams.
+
+    Once a year with no levy left maps b to itself exactly, every later year
+    would repeat it bit for bit (a year depends on k only through the levy),
+    so its values fill the rest of the horizon without further solves."""
     b, c, tau = [b0], [math.nan], [math.nan]
     for k in range(1, horizon + 1):
         b.append(consumer_step(consumer, b[-1], k))
         c.append(consumer.law.consumption(b[-1]))
         tau.append(tax(consumer, b[-1], c[-1], k))
-    return np.array(b), np.array(c), np.array(tau)
+        if b[-1] == b[-2] and (consumer.m is None or consumer.m < k):
+            break
+    rest = horizon + 1 - len(b)
+    return tuple(np.array(s + s[-1:] * rest) for s in (b, c, tau))
 
 
 def _debt_path(debt: DebtParams, g: np.ndarray,
@@ -272,16 +279,18 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     cost is bounded (about 15,600 terms at r = 0.05, whatever k); at r = 0
     it is O(k).
 
-    Raises AlphaIsZero at alpha = 0 (the tax intake is zero, so taxation can
-    never shrink the debt) and RegimeError outside beta = 0, alpha = gamma.
+    A missing or invalid ``k`` raises ValueError before anything else is
+    checked. Raises AlphaIsZero at alpha = 0 (the tax intake is zero, so
+    taxation can never shrink the debt) and RegimeError outside beta = 0,
+    alpha = gamma.
     """
+    k = _condition_year(debt, k)
     _require_simple_regime(consumer, "the decrease condition")
     if consumer.alpha == 0.0:
         raise AlphaIsZero("the decrease condition is degenerate at alpha = 0")
 
     lhs = _fixed_point_surplus(consumer)
     schedule = debt.schedule
-    k = _condition_year(debt, k)
     rd0 = debt.r * debt.d0
     g = schedule.value_at
     g(k or 1)  # a schedule too short for year k raises ScheduleTooShort naming k

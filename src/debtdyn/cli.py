@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis, io
 from .io import format_number
-from .model import ConstantSchedule, ModelError
+from .model import ModelError
 
 _GRID_HELP = ("grid specification: 'start:stop:count' for inclusive linear "
               "spacing, or comma-separated explicit values")
@@ -56,15 +56,6 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _year_missing(scenario, year: int | None) -> bool:
-    """Report a missing --year for a year-dependent schedule on stderr."""
-    missing = year is None and not isinstance(scenario.debt.schedule, ConstantSchedule)
-    if missing:
-        print("error: --year is required for linear/explicit expenditure schedules",
-              file=sys.stderr)
-    return missing
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -99,8 +90,6 @@ def cmd_closed_form(scenario, args) -> int:
 
 
 def cmd_condition(scenario, args) -> int:
-    if _year_missing(scenario, args.year):
-        return 2
     report = analysis.decrease_condition(scenario.consumer, scenario.debt, args.year)
 
     if args.format == "json":
@@ -137,8 +126,6 @@ def cmd_fixed_point(scenario, args) -> int:
 
 
 def cmd_sweep(scenario, args) -> int:
-    if args.axis != "g0" and _year_missing(scenario, args.year):
-        return 2
     points = analysis.sweep(scenario, args.axis, args.grid, k=args.year)
 
     if args.format == "json":
@@ -173,57 +160,50 @@ def cmd_sweep(scenario, args) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="debtdyn",
-        description="Coupled consumer-budget / public-debt dynamics: simulate, "
-                    "cross-check closed forms, and evaluate decrease conditions.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("scenario", help="path to a YAML scenario file")
-    common.add_argument("-o", "--output", default=None,
-                        help="output file (default: standard output)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default: csv; non-tabular "
-                             "subcommands print key = value text for csv)")
+_PARSER = argparse.ArgumentParser(
+    prog="debtdyn",
+    description="Coupled consumer-budget / public-debt dynamics: simulate, "
+                "cross-check closed forms, and evaluate decrease conditions.",
+)
+_COMMON = argparse.ArgumentParser(add_help=False)
+_COMMON.add_argument("scenario", help="path to a YAML scenario file")
+_COMMON.add_argument("-o", "--output", default=None,
+                     help="output file (default: standard output)")
+_COMMON.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="output format (default: csv; non-tabular "
+                          "subcommands print key = value text for csv)")
+_SUB = _PARSER.add_subparsers(dest="command", required=True)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+_SUB.add_parser("simulate", parents=[_COMMON],
+                help="run the budget/debt recursion and emit the trajectory"
+                ).set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="run the budget/debt recursion and emit the trajectory")
-    p.set_defaults(func=cmd_simulate)
+_SUB.add_parser("closed-form", parents=[_COMMON],
+                help="closed-form debt series next to the recursion series "
+                     "and their max relative deviation (assumes the budget "
+                     "starts at the fixed point; requires beta=0, alpha=gamma)"
+                ).set_defaults(func=cmd_closed_form)
 
-    p = sub.add_parser("closed-form", parents=[common],
-                       help="closed-form debt series next to the recursion series "
-                            "and their max relative deviation (assumes the budget "
-                            "starts at the fixed point; requires beta=0, alpha=gamma)")
-    p.set_defaults(func=cmd_closed_form)
+_p = _SUB.add_parser("condition", parents=[_COMMON],
+                     help="evaluate the strict debt-decrease condition "
+                          "(verdict is data: exit 0 either way)")
+_p.add_argument("-k", "--year", type=int, default=None,
+                help="evaluation year; required for linear/explicit schedules")
+_p.set_defaults(func=cmd_condition)
 
-    p = sub.add_parser("condition", parents=[common],
-                       help="evaluate the strict debt-decrease condition "
-                            "(verdict is data: exit 0 either way)")
-    p.add_argument("-k", "--year", type=int, default=None,
-                   help="evaluation year; required for linear/explicit schedules")
-    p.set_defaults(func=cmd_condition)
+_SUB.add_parser("fixed-point", parents=[_COMMON],
+                help="print the consumer budget fixed point b_lambda"
+                ).set_defaults(func=cmd_fixed_point)
 
-    p = sub.add_parser("fixed-point", parents=[common],
-                       help="print the consumer budget fixed point b_lambda")
-    p.set_defaults(func=cmd_fixed_point)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="decrease condition + terminal simulated debt across "
-                            "a one-parameter grid")
-    p.add_argument("--axis", required=True, choices=analysis.SWEEP_AXES,
-                   help="parameter to sweep ('alpha' moves alpha and gamma together)")
-    p.add_argument("--grid", required=True, type=parse_grid, help=_GRID_HELP)
-    p.add_argument("-k", "--year", type=int, default=None,
-                   help="condition year; required for linear/explicit schedules")
-    p.set_defaults(func=cmd_sweep)
-
-    return parser
-
-
-_PARSER = build_parser()
+_p = _SUB.add_parser("sweep", parents=[_COMMON],
+                     help="decrease condition + terminal simulated debt across "
+                          "a one-parameter grid")
+_p.add_argument("--axis", required=True, choices=analysis.SWEEP_AXES,
+                help="parameter to sweep ('alpha' moves alpha and gamma together)")
+_p.add_argument("--grid", required=True, type=parse_grid, help=_GRID_HELP)
+_p.add_argument("-k", "--year", type=int, default=None,
+                help="condition year; required for linear/explicit schedules")
+_p.set_defaults(func=cmd_sweep)
 
 
 def main(argv=None) -> int:

@@ -304,18 +304,26 @@ def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
 
 
 def read_trajectory(document: str) -> Trajectory:
-    """Parse a JSON trajectory written by `write_trajectory`."""
+    """Parse a JSON trajectory written by `write_trajectory`: ``k`` must be
+    0..K and every series must have K + 1 entries, K being run.horizon."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed trajectory document: {exc}") from exc
     doc = _mapping(doc, "trajectory", {"scenario", "k", "b", "c", "tau", "delta", "D"})
     scenario = scenario_from_mapping(_get(doc, "scenario", "trajectory.scenario"))
+    years = list(range(scenario.horizon + 1))
+    k = _get(doc, "k", "trajectory.k")
+    if k != years or any(type(year) is not int for year in k):
+        _fail("trajectory.k", f"must be the years 0..{scenario.horizon} of run.horizon")
 
     def array(key: str) -> np.ndarray:
         raw = _get(doc, key, f"trajectory.{key}")
         if not isinstance(raw, list):
             _fail(f"trajectory.{key}", "must be a list")
+        if len(raw) != len(years):
+            _fail("trajectory.series", f"{key} has {len(raw)} entries, "
+                                       f"run.horizon = {scenario.horizon} needs {len(years)}")
         return np.array([np.nan if v is None else _number(v, f"trajectory.{key}[{i}]")
                          for i, v in enumerate(raw)], dtype=float)
 

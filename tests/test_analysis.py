@@ -34,7 +34,9 @@ from debtdyn import (
     simulate,
     sweep,
 )
-from debtdyn.analysis import _with_value
+from debtdyn import analysis
+from debtdyn.analysis import _budget_path, _with_value
+from debtdyn.model import tax
 from debtdyn.io import load_scenario
 from helpers import quad_root, random_general_scenario
 
@@ -475,6 +477,95 @@ def test_budget_converges_at_the_contraction_rate(alpha, gamma, a, p_a, n, offse
             assert gap_next <= bound * gap
         b = b_next
     assert abs(consumer_step(cons, b, 1) - b_lam) < 1e-4 * b_lam
+
+
+# ---------------------------------------------------------------------------
+# budget path: solving stops once a levy-free year maps b to itself
+# ---------------------------------------------------------------------------
+
+def reference_budget_path(consumer, b0, horizon):
+    """The plain loop: every year solved, no stationary exit."""
+    b, c, tau = [b0], [math.nan], [math.nan]
+    for k in range(1, horizon + 1):
+        b.append(consumer_step(consumer, b[-1], k))
+        c.append(consumer.law.consumption(b[-1]))
+        tau.append(tax(consumer, b[-1], c[-1], k))
+    return np.array(b), np.array(c), np.array(tau)
+
+
+def assert_bitwise_equal_paths(got, want):
+    for series, expected in zip(got, want):
+        assert series.dtype == expected.dtype
+        assert series.tobytes() == expected.tobytes()
+
+
+@st.composite
+def budget_cases(draw):
+    horizon = draw(st.integers(1, 300))
+    consumer = ConsumerParams(
+        p_a=draw(st.floats(1e-3, 1e6)), alpha=draw(st.floats(0.0, 0.99)),
+        beta=draw(st.floats(0.0, 0.99)), gamma=draw(st.floats(0.0, 10.0)),
+        law=ConsumptionLaw(a=10.0 ** draw(st.floats(-12.0, 3.0)),
+                           n=draw(st.integers(2, 20))),
+        # a levy year early in, inside, at the end of, or after the horizon
+        m=draw(st.none() | st.integers(1, horizon + 50)))
+    b_lambda = fixed_point(consumer).b_lambda
+    b0 = b_lambda * draw(st.just(1.0) | st.floats(1e-3, 1e3))
+    return consumer, b0, horizon
+
+
+@settings(max_examples=300)
+@given(budget_cases())
+@example((make_consumer(), 20.0, 300))
+@example((make_consumer(), 18.0, 300))
+@example((make_consumer(beta=0.3, m=150), 20.0, 300))
+@example((make_consumer(beta=0.3, m=300), 20.0, 300))
+@example((make_consumer(beta=0.3, m=301), 20.0, 300))
+def test_budget_path_equals_the_plain_loop(case):
+    consumer, b0, horizon = case
+    try:
+        want = reference_budget_path(consumer, b0, horizon)
+    except ModelError as exc:
+        with pytest.raises(type(exc)) as raised:
+            _budget_path(consumer, b0, horizon)
+        assert str(raised.value) == str(exc)
+        return
+    assert_bitwise_equal_paths(_budget_path(consumer, b0, horizon), want)
+
+
+def counting_steps(monkeypatch):
+    years = []
+
+    def counted(params, b_prev, k):
+        years.append(k)
+        return consumer_step(params, b_prev, k)
+
+    monkeypatch.setattr(analysis, "consumer_step", counted)
+    return years
+
+
+def test_simulate_from_the_fixed_point_stops_solving(monkeypatch):
+    cons = make_consumer()
+    scenario = Scenario(consumer=cons, debt=constant_debt(r=0.0),
+                        b0=fixed_point(cons).b_lambda, horizon=10_000)
+    years = counting_steps(monkeypatch)
+    traj = simulate(scenario)
+    assert 1 <= len(years) <= 3
+    assert len(traj.b) == 10_001 and np.all(traj.b[len(years):] == traj.b[-1])
+    assert traj.debt[-1] == pytest.approx(100.0 - 10_000 * (traj.tau[-1] - 30.0), rel=1e-12)
+
+
+def test_a_late_levy_still_fires_after_a_stationary_stretch(monkeypatch):
+    cons = make_consumer(beta=0.3, m=200)
+    b0, horizon = fixed_point(cons).b_lambda, 1_000
+    want = reference_budget_path(cons, b0, horizon)
+    years = counting_steps(monkeypatch)
+    got = _budget_path(cons, b0, horizon)
+    assert_bitwise_equal_paths(got, want)
+    b = got[0]
+    assert b[199] == b[198]  # stationary long before the levy
+    assert b[200] != b[199] and got[2][200] != got[2][199]
+    assert 200 in years and len(years) < horizon  # solved through m, then stationary again
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_condition_linear_requires_year(tmp_path, capsys):
                          "schedule: {kind: constant, g0: 30.0}",
                          "schedule: {kind: linear, g1: 30.0, deltaG: 1.0}")
     assert cli.main(["condition", path]) == 2
-    assert "--year" in capsys.readouterr().err
+    assert "year k is required" in capsys.readouterr().err
     assert cli.main(["condition", path, "-k", "3"]) == 0
     out = capsys.readouterr().out
     assert "regime = linear-g" in out
@@ -225,6 +225,23 @@ def test_structural_misuse_exits_two(tmp_path, baseline_path, capsys):
     assert cli.main(["sweep", linear, "--axis", "g0", "--grid", "30,40"]) == 2
     assert cli.main(["sweep", linear, "--axis", "D0", "--grid", "0,1", "-k", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["condition"], ["sweep", "--axis", "r", "--grid", "0,1"]])
+@pytest.mark.parametrize("rates", [{"gamma": 0.3}, {"alpha": 0.0, "gamma": 0.0}])
+def test_a_missing_year_is_misuse_before_any_regime_error(tmp_path, capsys, argv, rates):
+    # a linear schedule with no -k, and a consumer the condition refuses
+    # (RegimeError at alpha != gamma, AlphaIsZero at alpha = 0)
+    text = BASELINE.replace("schedule: {kind: constant, g0: 30.0}",
+                            "schedule: {kind: linear, g1: 30.0, deltaG: 1.0}")
+    for name, value in rates.items():
+        text = text.replace(f"{name}: 0.25", f"{name}: {value}")
+    path = tmp_path / "lin.yaml"
+    path.write_text(text)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: year k is required for a non-constant schedule\n"
 
 
 # ---------------------------------------------------------------------------

@@ -292,3 +292,30 @@ def test_read_trajectory_rejects_malformed_documents(baseline_scenario):
     doc["b"] = doc["b"][:-1]  # mismatched series lengths
     with pytest.raises(ValidationError):
         read_trajectory(json.dumps(doc))
+
+
+@pytest.mark.parametrize("years,length,field", [
+    ([7, 8, 9], 3, "trajectory.k"),       # a cut 3-row trajectory of a 10-year run
+    (list(range(11)), 3, "trajectory.series"),
+    (list(range(3)), 3, "trajectory.k"),
+    (list(range(12)), 12, "trajectory.k"),
+    (list(range(11))[::-1], 11, "trajectory.k"),
+    ([False, True, *range(2, 11)], 11, "trajectory.k"),  # JSON booleans are not years
+    ([float(k) for k in range(11)], 11, "trajectory.k"),
+    ("0..10", 11, "trajectory.k"),
+])
+def test_read_trajectory_requires_every_year_of_the_horizon(baseline_scenario, years,
+                                                            length, field):
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc["k"] = years
+    for key in ("b", "c", "tau", "delta", "D"):
+        doc[key] = (doc[key] * 2)[:length]
+    with pytest.raises(ValidationError, match=field):
+        read_trajectory(json.dumps(doc))
+
+
+def test_read_trajectory_names_the_short_series(baseline_scenario):
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc["D"] = doc["D"][:-1]
+    with pytest.raises(ValidationError, match=r"trajectory\.series: D has 10 entries"):
+        read_trajectory(json.dumps(doc))
