@@ -10,9 +10,11 @@ those restrictions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, tee
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .model import (
 
 __all__ = [
     "AlphaIsZero",
+    "ConditionNotFinite",
     "DebtNotFinite",
     "FixedPointOutOfRange",
     "RegimeError",
@@ -64,6 +67,10 @@ class FixedPointOutOfRange(ModelError):
 
 class DebtNotFinite(ModelError):
     """A debt series left the floating-point range."""
+
+
+class ConditionNotFinite(ModelError):
+    """The decrease condition's threshold or margin left the floating-point range."""
 
 
 def _finite_debt(series: np.ndarray, first_year: int) -> np.ndarray:
@@ -162,29 +169,36 @@ def simulate(scenario: Scenario) -> Trajectory:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-_MAX_LOG_GROWTH = 256 * math.log(2.0)  # growth factors of one block stay below 2**256
+def _thresholds(x, r: float, d0: float):
+    """T_1, T_2, ... of a series x_1, x_2, ..., lazily; the one statement of
+
+        T_j = x_1 + r*D0 + sum_{i<j} (x_{i+1} - x_i) * (1+r)**-i.
+
+    Summation by parts of D_k = (1+r)*D_{k-1} + d_k gives D_k - D_{k-1} =
+    (1+r)**(k-1) * T_k over the drifts d; over the expenditures g, T_k is
+    the decrease condition's threshold."""
+    prev, nxt = tee(x)
+    first = next(nxt)
+    return accumulate(((b - a) * (1.0 + r) ** -i for i, (a, b) in enumerate(zip(prev, nxt), 1)),
+                      initial=first + r * d0)
 
 
 def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
-    """Debt series from an arbitrary drift sequence:
-
-        D_k = (1+r)**k * (D0 + sum_{i=1..k} drift_i / (1+r)**i)
-
-    Valid for any drifts, any r >= 0; returns D_1..D_K. The formula restarts
-    from the last value every B years, B as large as keeps (1+r)**B below
-    2**256 (one block at r = 0), so the growth factors never overflow.
-    Raises DebtNotFinite once the series leaves the float range.
-    """
+    """Debt D_1..D_K from any drifts at any r >= 0: D_k = D0 + sum_{j<=k}
+    (1+r)**(j-1) * T_j, the running sum of the `_thresholds` increments. It
+    restarts from the last value every B years, B as large as keeps (1+r)**B
+    below 2**256 (one block at r = 0), so no growth factor overflows and
+    T_j = 0 adds exactly 0. Raises DebtNotFinite once the series leaves the
+    float range."""
     drifts = np.asarray(drifts, dtype=float)
-    log_growth = math.log1p(debt.r)
-    max_block = _MAX_LOG_GROWTH / log_growth if log_growth else math.inf
+    max_block = 256 * math.log(2.0) / math.log1p(debt.r) if debt.r else math.inf
     block = max(1, int(min(len(drifts), max_block)))
     blocks, start = [np.empty(0)], debt.d0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(drifts), block):
             chunk = drifts[lo:lo + block]
-            growth = (1.0 + debt.r) ** np.arange(1, len(chunk) + 1)
-            blocks.append(growth * (start + np.cumsum(chunk / growth)))
+            steps = np.fromiter(_thresholds(chunk.tolist(), debt.r, start), float, len(chunk))
+            blocks.append(start + np.cumsum(steps * (1.0 + debt.r) ** np.arange(len(chunk))))
             start = blocks[-1][-1]
     return _finite_debt(np.concatenate(blocks), first_year=1)
 
@@ -200,22 +214,18 @@ def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
 
 
 def _fixed_point_surplus(consumer: ConsumerParams) -> float:
-    # Yearly tax intake with the budget at its fixed point: 2*alpha*p_a/(1+alpha).
-    return 2.0 * consumer.alpha * consumer.p_a / (1.0 + consumer.alpha)
+    # Fixed-point tax intake 2*alpha*p_a/(1+alpha); the factor below 1 cannot overflow.
+    return 2.0 * consumer.alpha / (1.0 + consumer.alpha) * consumer.p_a
 
 
 def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
                      horizon: int) -> np.ndarray:
-    """Debt D_1..D_K with the budget pinned at its fixed point:
-
-        D_k = (1+r)**k * (D0 + sum_{i=1..k} (g_i - 2*alpha*p_a/(1+alpha)) / (1+r)**i)
-
-    which is `debt_closed_form_general` with the fixed-point drift. For a
-    constant schedule it equals the paper's
-    (1+r)**k * D0 + (g0 - 2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r, and it
-    stays exact at r = 0. Requires beta = 0 and alpha = gamma; raises
-    ScheduleTooShort if an explicit schedule does not cover the horizon.
-    """
+    """Debt D_1..D_K with the budget pinned at its fixed point, which is
+    `debt_closed_form_general` with the drift g_k - 2*alpha*p_a/(1+alpha);
+    for a constant schedule, the paper's (1+r)**k * D0 + (g0 -
+    2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r. Requires beta = 0 and
+    alpha = gamma; raises ScheduleTooShort if an explicit schedule does not
+    cover the horizon."""
     _require_simple_regime(consumer, "the fixed-point closed form")
     return debt_closed_form_general(
         debt, _expenditure(debt, horizon) - _fixed_point_surplus(consumer))
@@ -270,19 +280,17 @@ def _condition_year(debt: DebtParams, k: int | None) -> int | None:
 def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
                        k: int | None = None) -> ConditionReport:
     """Evaluate the strict decrease condition D_k < D_{k-1} at the fixed point:
-
-        2*alpha*p_a/(1+alpha) > g_1 + r*D0 + sum_{j=1..k-1} (g_{j+1} - g_j) * (1+r)**-j
-
-    for every schedule, every r >= 0 and every year. For a Constant schedule
-    the sum is empty and ``k`` is ignored; Linear and Explicit schedules need
-    ``k`` (>= 1), and Explicit schedules must cover year k. For r > 0 the
-    cost is bounded (about 15,600 terms at r = 0.05, whatever k); at r = 0
-    it is O(k).
+    the tax intake 2*alpha*p_a/(1+alpha) must exceed T_k of the expenditures
+    (see `_thresholds`), since D_k - D_{k-1} = -(1+r)**(k-1) * margin_k for
+    every schedule, r >= 0 and year. A Constant schedule ignores ``k``
+    (T_k = g0 + r*D0); Linear and Explicit ones need ``k`` (>= 1), which an
+    Explicit one must cover. For r > 0 the cost is bounded (about 15,600
+    terms at r = 0.05, whatever k); at r = 0 it is O(k).
 
     A missing or invalid ``k`` raises ValueError before anything else is
     checked. Raises AlphaIsZero at alpha = 0 (the tax intake is zero, so
-    taxation can never shrink the debt) and RegimeError outside beta = 0,
-    alpha = gamma.
+    taxation can never shrink the debt), RegimeError outside beta = 0,
+    alpha = gamma, and ConditionNotFinite if rhs or margin is not finite.
     """
     k = _condition_year(debt, k)
     _require_simple_regime(consumer, "the decrease condition")
@@ -291,21 +299,22 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
 
     lhs = _fixed_point_surplus(consumer)
     schedule = debt.schedule
-    rd0 = debt.r * debt.d0
     g = schedule.value_at
     g(k or 1)  # a schedule too short for year k raises ScheduleTooShort naming k
-    # Past j = 1100*ln2 / log(1+r) every (1+r)**-j is exactly 0.0, so the sum
-    # starts there; at r = 0 (or r below the float spacing at 1) it has k - 1 terms.
+    # Past j = 1100*ln2 / log(1+r) every (1+r)**-j is exactly 0.0, so later
+    # years add 0; at r = 0 (or r below the float spacing at 1) all k count.
     log_growth = math.log(1.0 + debt.r)
     top = (k or 1) - 1
     if log_growth:
         top = min(top, math.ceil(1100 * math.log(2.0) / log_growth))
-    rhs = g(1) + rd0 + sum((g(j + 1) - g(j)) * (1.0 + debt.r) ** -j
-                           for j in range(top, 0, -1))
-    limit = None
-    if isinstance(schedule, LinearSchedule) and debt.r > 0.0:
-        limit = schedule.g1 + rd0 + schedule.delta_g / debt.r
-    return ConditionReport(lhs=lhs, rhs=rhs, margin=lhs - rhs, holds=lhs - rhs > 0,
+    rhs = deque(_thresholds(map(g, range(1, top + 2)), debt.r, debt.d0), maxlen=1)[0]
+    margin = lhs - rhs
+    if not math.isfinite(margin):  # lhs is always finite, so this covers rhs too
+        raise ConditionNotFinite(f"the decrease condition leaves the float range "
+                                 f"(rhs = {rhs!r}, margin = {margin!r})")
+    limit = (schedule.g1 + debt.r * debt.d0 + schedule.delta_g / debt.r
+             if isinstance(schedule, LinearSchedule) and debt.r > 0.0 else None)
+    return ConditionReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin > 0,
                            regime=_REGIMES[type(schedule)], k=k, rhs_limit=limit)
 
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from debtdyn import (
     AlphaIsZero,
+    ConditionNotFinite,
     ConditionRegime,
     ConstantSchedule,
     ConsumerParams,
@@ -36,7 +38,7 @@ from debtdyn import (
 )
 from debtdyn import analysis
 from debtdyn.analysis import _budget_path, _with_value
-from debtdyn.model import tax
+from debtdyn.model import debt_step, tax
 from debtdyn.io import load_scenario
 from helpers import quad_root, random_general_scenario
 
@@ -283,6 +285,49 @@ def test_closed_form_is_exact_at_zero_rate_and_stable_near_it():
                                  traj.debt[1:]) < 1e-9
 
 
+def test_closed_form_stays_put_where_the_drift_cancels_the_interest():
+    # a drift of -r*D0 every year keeps the debt at D0: every increment of
+    # the closed form is exactly 0, however fast (1+r)**k grows
+    cons = make_consumer()
+    assert debt_closed_form(constant_debt(r=5.0, d0=1.0, g0=35.0), cons, 60)[-1] == 1.0
+    debt = constant_debt(r=5.0, d0=1.0, g0=0.0)
+    assert np.all(debt_closed_form_general(debt, np.full(3000, -5.0)) == 1.0)
+
+
+def test_closed_form_and_recursion_error_against_the_condition_scale():
+    # Drifts -r*D0*(1 +- eps), eps <= 1e-9, nearly cancel the interest, so the
+    # problem's condition number is (1+r)**K and no formula keeps a small
+    # error relative to |D_k|. The stated bound is relative to S_k, the
+    # recursion run on |terms|, against an exact Fraction recursion.
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        r, horizon = float(rng.uniform(0.5, 5.0)), int(rng.integers(20, 121))
+        d0 = float(10.0 ** rng.uniform(-2.0, 4.0))
+        drifts = (-r * d0 * (1.0 + rng.uniform(-1e-9, 1e-9, horizon))).tolist()
+        debt = constant_debt(r=r, d0=d0, g0=0.0)
+        closed = debt_closed_form_general(debt, drifts).tolist()
+        recursion, exact, scale = d0, Fraction(d0), abs(d0)
+        for k, drift in enumerate(drifts):
+            recursion = debt_step(debt, recursion, drift)
+            exact = (1 + Fraction(r)) * exact + Fraction(drift)
+            scale = (1.0 + r) * scale + abs(drift)
+            assert abs(Fraction(recursion) - exact) <= 2.5e-16 * Fraction(scale)
+            assert abs(Fraction(closed[k]) - exact) <= 1e-16 * Fraction(scale)
+
+
+def test_debt_increment_is_the_condition_margin():
+    # D_k - D_{k-1} = -(1+r)**(k-1) * margin_k for every schedule and year
+    cons = make_consumer()
+    values = tuple(30.0 + 15.0 * math.sin(k) for k in range(30))
+    for r in (0.0, 0.05, 0.9):
+        debt = DebtParams(r=r, d0=100.0, schedule=ExplicitSchedule(values=values))
+        series = np.concatenate(([100.0], debt_closed_form(debt, cons, 30)))
+        for k in range(1, 31):
+            margin = decrease_condition(cons, debt, k).margin
+            assert series[k] - series[k - 1] == pytest.approx(
+                -(1.0 + r) ** (k - 1) * margin, rel=1e-12, abs=1e-12 * abs(series[k]))
+
+
 # ---------------------------------------------------------------------------
 # decrease condition
 # ---------------------------------------------------------------------------
@@ -373,6 +418,25 @@ def test_condition_guards():
         decrease_condition(cons, short, k=3)
 
 
+def test_condition_outside_the_float_range_is_a_named_error():
+    with pytest.raises(ConditionNotFinite, match=r"rhs = inf, margin = -inf"):
+        decrease_condition(make_consumer(), constant_debt(r=1e300, d0=1e10))
+    # a finite rhs whose margin overflows
+    rich = make_consumer(alpha=0.9, gamma=0.9, p_a=1.5e308)
+    debt = DebtParams(r=0.0, d0=0.0, schedule=ExplicitSchedule(values=(-1.7e308,)))
+    with pytest.raises(ConditionNotFinite, match=r"rhs = -1\.7e\+308, margin = inf"):
+        decrease_condition(rich, debt, k=1)
+    assert issubclass(ConditionNotFinite, ModelError)
+
+
+def test_fixed_point_intake_does_not_overflow():
+    # 2*alpha*p_a overflows at p_a = 1.5e308, the intake itself does not
+    rich = make_consumer(alpha=0.9, gamma=0.9, p_a=1.5e308)
+    report = decrease_condition(rich, constant_debt())
+    assert report.lhs / 1.5e308 == pytest.approx(18.0 / 19.0, rel=1e-15)
+    assert report.holds
+
+
 def test_condition_report_holds_iff_positive_margin():
     cons = make_consumer()
     for g0 in np.linspace(0.0, 80.0, 33):
@@ -410,9 +474,11 @@ def test_condition_sum_stops_where_the_discount_underflows():
     s = load_scenario((SCENARIOS / "linear_expenditure.yaml").read_text())
     far = decrease_condition(s.consumer, s.debt, 10**8)
     assert far.rhs == decrease_condition(s.consumer, s.debt, 20_000).rhs
-    g = s.debt.schedule.value_at  # every term of year 20,000's sum, largest j first
-    assert far.rhs == g(1) + 5.0 + sum((g(j + 1) - g(j)) * 1.05 ** -j
-                                       for j in range(19_999, 0, -1))
+    # within 11 ulp (10.5 measured) of the exact sum of year 20,000's float terms
+    g = s.debt.schedule.value_at
+    exact = Fraction(g(1)) + Fraction(5.0) + sum(
+        Fraction((g(j + 1) - g(j)) * 1.05 ** -j) for j in range(1, 20_000))
+    assert abs(Fraction(far.rhs) - exact) <= 11 * Fraction(math.ulp(far.rhs))
     assert far.k == 10**8 and far.rhs_limit == s.debt.schedule.g1 + 5.0 + 20.0
     short = replace(s.debt, schedule=ExplicitSchedule(values=(30.0, 31.0)))
     with pytest.raises(ScheduleTooShort, match="year 100000000 requested"):

@@ -280,6 +280,37 @@ def test_debt_overflow_exits_one_with_no_output(argv, tmp_path, capsys):
     assert out == "" and "float range" in err
 
 
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_condition_near_the_float_limit_prints_finite_json(tmp_path, capsys):
+    path = tmp_path / "rich.yaml"
+    path.write_text(BASELINE.replace("p_a: 100.0", "p_a: 1.5e+308")
+                    .replace("alpha: 0.25", "alpha: 0.9").replace("gamma: 0.25", "gamma: 0.9"))
+    assert cli.main(["condition", str(path), "--format", "json"]) == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["lhs"] == pytest.approx(1.5e308 / 19.0 * 18.0, rel=1e-15)
+    assert doc["holds"] is True
+
+
+def test_condition_outside_the_float_range_exits_one(tmp_path, capsys):
+    path = tmp_path / "steep.yaml"
+    path.write_text(BASELINE.replace("r: 0.05", "r: 1.0e+300").replace("D0: 100.0", "D0: 1.0e+10"))
+    assert cli.main(["condition", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "the decrease condition leaves the float range" in err
+    assert cli.main(["sweep", str(path), "--axis", "D0", "--grid", "0,1e10",
+                     "--format", "json"]) == 0
+    rows = strict_json(capsys.readouterr().out)
+    assert "rhs" in rows[0] and "decrease condition" not in rows[0]["error"]
+    assert "the decrease condition leaves the float range" in rows[1]["error"]
+    assert "rhs" not in rows[1]
+
+
 def test_high_rate_over_long_horizons_exits_zero(tmp_path, capsys):
     linear = tmp_path / "linear.yaml"
     linear.write_text(BASELINE.replace("r: 0.05", "r: 0.9").replace(
