@@ -248,7 +248,8 @@ class ConditionReport:
     ``lhs`` is the fixed-point tax intake 2*alpha*p_a/(1+alpha); ``rhs`` is
     the expenditure-plus-interest threshold it must strictly exceed. For the
     linear regime, ``rhs_limit`` is the k -> infinity value of ``rhs``
-    (None when r = 0, where it diverges).
+    (None when r = 0, where it diverges, and when the limit is outside the
+    float range, as deltaG/r is at a tiny r; the verdict is still finite).
     """
 
     lhs: float
@@ -312,8 +313,10 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     if not math.isfinite(margin):  # lhs is always finite, so this covers rhs too
         raise ConditionNotFinite(f"the decrease condition leaves the float range "
                                  f"(rhs = {rhs!r}, margin = {margin!r})")
-    limit = (schedule.g1 + debt.r * debt.d0 + schedule.delta_g / debt.r
-             if isinstance(schedule, LinearSchedule) and debt.r > 0.0 else None)
+    limit = None
+    if isinstance(schedule, LinearSchedule) and debt.r > 0.0:
+        limit = schedule.g1 + debt.r * debt.d0 + schedule.delta_g / debt.r
+        limit = limit if math.isfinite(limit) else None  # deltaG/r overflows at a tiny r
     return ConditionReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin > 0,
                            regime=_REGIMES[type(schedule)], k=k, rhs_limit=limit)
 

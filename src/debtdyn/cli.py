@@ -8,11 +8,8 @@ error), 1 on scenario/model errors, 2 on command-line misuse.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import asdict
-from io import StringIO
 from pathlib import Path
 
 from . import analysis, io
@@ -45,115 +42,60 @@ def parse_grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}; {_GRID_HELP}")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its output text
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(scenario, args) -> int:
-    traj = analysis.simulate(scenario)
-    _emit(io.write_trajectory(traj, format=args.format), args.output)
-    return 0
+def cmd_simulate(scenario, args) -> str:
+    return io.write_trajectory(analysis.simulate(scenario), format=args.format)
 
 
-def cmd_closed_form(scenario, args) -> int:
+def cmd_closed_form(scenario, args) -> str:
     recursive = analysis.simulate(scenario).debt.tolist()
     closed = [scenario.debt.d0] + analysis.debt_closed_form(
         scenario.debt, scenario.consumer, scenario.horizon).tolist()
     deviation = analysis.max_rel_deviation(recursive[1:], closed[1:])
-
+    years = range(scenario.horizon + 1)
     if args.format == "json":
-        doc = {
-            "k": list(range(scenario.horizon + 1)),
-            "D_recursive": recursive,
-            "D_closed_form": closed,
-            "max_rel_dev": deviation,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        lines = ["k,D_recursive,D_closed_form"]
-        lines += [f"{k},{format_number(d)},{format_number(c)}"
-                  for k, (d, c) in enumerate(zip(recursive, closed))]
-        lines.append(f"# max_rel_dev = {format_number(deviation)}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        return io.write_json({"k": list(years), "D_recursive": recursive,
+                              "D_closed_form": closed, "max_rel_dev": deviation})
+    return (io.write_table(["k", "D_recursive", "D_closed_form"],
+                           zip(years, recursive, closed))
+            + f"# max_rel_dev = {format_number(deviation)}\n")
 
 
-def cmd_condition(scenario, args) -> int:
+def cmd_condition(scenario, args) -> str:
     report = analysis.decrease_condition(scenario.consumer, scenario.debt, args.year)
-
+    fields = asdict(report)  # declared in printed order; the regime is a str enum
     if args.format == "json":
-        # every report field, in declaration order; the regime is a str enum
-        _emit(json.dumps(asdict(report), indent=2) + "\n", args.output)
-        return 0
-
+        return io.write_json(fields)
     verdict = ("debt decreases steadily" if report.holds
                else "debt will not steadily decrease")
-    lines = [
-        f"condition {'holds' if report.holds else 'fails'} "
-        f"(margin {format_number(report.margin)}): {verdict}",
-        f"lhs = {format_number(report.lhs)}",
-        f"rhs = {format_number(report.rhs)}",
-        f"margin = {format_number(report.margin)}",
-        f"holds = {_bool(report.holds)}",
-        f"regime = {report.regime.value}",
-    ]
-    if report.k is not None:
-        lines.append(f"k = {report.k}")
-    if report.rhs_limit is not None:
-        lines.append(f"rhs_limit = {format_number(report.rhs_limit)}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return (f"condition {'holds' if report.holds else 'fails'} "
+            f"(margin {format_number(report.margin)}): {verdict}\n"
+            + io.write_record(fields))
 
 
-def cmd_fixed_point(scenario, args) -> int:
-    fp = analysis.fixed_point(scenario.consumer)
+def cmd_fixed_point(scenario, args) -> str:
+    doc = {"b_lambda": analysis.fixed_point(scenario.consumer).b_lambda}
+    return io.write_json(doc) if args.format == "json" else io.write_record(doc)
+
+
+_SWEEP_COLUMNS = ("value", "lhs", "rhs", "margin", "holds", "final_D", "error")
+
+
+def cmd_sweep(scenario, args) -> str:
+    rows = []
+    for p in analysis.sweep(scenario, args.axis, args.grid, k=args.year):
+        row = {"value": p.value, "final_D": p.final_debt, "error": p.error}
+        report = p.report
+        if report is not None:
+            row.update(lhs=report.lhs, rhs=report.rhs, margin=report.margin,
+                       holds=report.holds, regime=report.regime)
+        rows.append(row)
     if args.format == "json":
-        _emit(json.dumps({"b_lambda": fp.b_lambda}) + "\n", args.output)
-    else:
-        _emit(f"b_lambda = {format_number(fp.b_lambda)}\n", args.output)
-    return 0
-
-
-def cmd_sweep(scenario, args) -> int:
-    points = analysis.sweep(scenario, args.axis, args.grid, k=args.year)
-
-    if args.format == "json":
-        doc = []
-        for p in points:
-            entry = {"value": p.value, "final_D": p.final_debt, "error": p.error}
-            if p.report is not None:
-                entry.update(lhs=p.report.lhs, rhs=p.report.rhs,
-                             margin=p.report.margin, holds=p.report.holds,
-                             regime=p.report.regime.value)
-            doc.append(entry)
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return 0
-
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["value", "lhs", "rhs", "margin", "holds", "final_D", "error"])
-    for p in points:
-        if p.report is not None:
-            lhs, rhs = format_number(p.report.lhs), format_number(p.report.rhs)
-            margin, holds = format_number(p.report.margin), _bool(p.report.holds)
-        else:
-            lhs = rhs = margin = holds = ""
-        final = "" if p.final_debt is None else format_number(p.final_debt)
-        error = p.error or ""
-        writer.writerow([format_number(p.value), lhs, rhs, margin, holds, final, error])
-    _emit(out.getvalue(), args.output)
-    return 0
+        return io.write_json(rows)
+    return io.write_table(_SWEEP_COLUMNS, (map(row.get, _SWEEP_COLUMNS) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +152,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         scenario = io.load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-        return args.func(scenario, args)
+        text = args.func(scenario, args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8")
+        return 0
     except (FileNotFoundError, io.ParseError, io.ValidationError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

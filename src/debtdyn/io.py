@@ -1,4 +1,4 @@
-"""Scenario file schema, validation, and trajectory serialization.
+"""Scenario file schema, validation, and the text encodings of every output.
 
 Scenario files are YAML documents with three sections::
 
@@ -24,13 +24,21 @@ checks what only a document can get wrong: mapping shape, unknown and
 missing keys, number and integer types, finiteness. Range invariants belong
 to the model types; their field errors are re-raised here under the
 offending field's file path.
+
+Every text output is written by one of three writers: `write_table` (CSV),
+`write_record` (``key = value`` lines) and `write_json` (indented JSON).
+They share one cell rule: None and NaN are empty, flags are true/false,
+floats go through `format_number`, a str enum is its value.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import fields
+from enum import Enum
+from io import StringIO
 
 import numpy as np
 import yaml
@@ -57,6 +65,9 @@ __all__ = [
     "write_trajectory",
     "read_trajectory",
     "format_number",
+    "write_table",
+    "write_record",
+    "write_json",
 ]
 
 
@@ -95,9 +106,13 @@ def _get(doc: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
-    if not math.isfinite(value):
-        _fail(path, f"must be finite, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        _fail(path, f"must be finite, got {number!r}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -251,7 +266,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory serialization
+# Text writers and trajectory serialization
 # ---------------------------------------------------------------------------
 
 def format_number(x: float) -> str:
@@ -259,33 +274,39 @@ def format_number(x: float) -> str:
     return format(x, ".12g")
 
 
-def _cell(x: float) -> str:
-    return "" if math.isnan(x) else format_number(x)
+def _text(value) -> str:
+    """One CSV cell or record value."""
+    if isinstance(value, float):  # first: nearly every cell is a float
+        return "" if math.isnan(value) else format_number(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value.value if isinstance(value, Enum) else str(value)
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
-    rows = zip(traj.b, traj.c, traj.tau, traj.delta, traj.debt)
-    lines = ["k,b,c,tau,delta,D"] + [
-        f"{k},{format_number(b)},{_cell(c)},{_cell(t)},{_cell(dt)},{format_number(d)}"
-        for k, (b, c, t, dt, d) in enumerate(rows)]
-    return "\n".join(lines) + "\n"
+def write_table(header, rows) -> str:
+    """CSV with one header line; a cell with a comma or quote is quoted."""
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_text, row) for row in rows)
+    return out.getvalue()
+
+
+def write_record(fields: dict) -> str:
+    """One ``key = value`` line per field that is not None."""
+    return "".join(f"{key} = {_text(value)}\n"
+                   for key, value in fields.items() if value is not None)
+
+
+def write_json(doc) -> str:
+    """Indented JSON with a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _series(values: np.ndarray) -> list:
-    return [None if math.isnan(v) else float(v) for v in values]
-
-
-def _trajectory_json(traj: Trajectory) -> str:
-    doc = {
-        "scenario": scenario_to_dict(traj.scenario),
-        "k": list(range(traj.horizon + 1)),
-        "b": _series(traj.b),
-        "c": _series(traj.c),
-        "tau": _series(traj.tau),
-        "delta": _series(traj.delta),
-        "D": _series(traj.debt),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
@@ -297,9 +318,19 @@ def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
     of the scenario, and round-trips exactly through `read_trajectory`.
     """
     if format == "csv":
-        return _trajectory_csv(traj)
+        series = (traj.b, traj.c, traj.tau, traj.delta, traj.debt)
+        return write_table(["k", "b", "c", "tau", "delta", "D"],
+                           zip(range(traj.horizon + 1), *(v.tolist() for v in series)))
     if format == "json":
-        return _trajectory_json(traj)
+        return write_json({
+            "scenario": scenario_to_dict(traj.scenario),
+            "k": list(range(traj.horizon + 1)),
+            "b": _series(traj.b),
+            "c": _series(traj.c),
+            "tau": _series(traj.tau),
+            "delta": _series(traj.delta),
+            "D": _series(traj.debt),
+        })
     raise ValueError(f"unknown trajectory format {format!r}; use 'csv' or 'json'")
 
 

@@ -80,9 +80,12 @@ def _check(condition: bool, field: str, problem: str) -> None:
 
 
 def _finite(value: float, name: str) -> float:
-    value = float(value)
-    _check(math.isfinite(value), name, f"must be finite, got {value!r}")
-    return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    _check(math.isfinite(number), name, f"must be finite, got {number!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------

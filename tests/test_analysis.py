@@ -315,6 +315,38 @@ def test_closed_form_and_recursion_error_against_the_condition_scale():
             assert abs(Fraction(closed[k]) - exact) <= 1e-16 * Fraction(scale)
 
 
+@settings(max_examples=200)
+@given(
+    alpha=st.floats(0.05, 0.5),
+    p_a=st.floats(50.0, 200.0),
+    a=st.floats(0.05, 0.5),
+    n=st.integers(2, 6),
+    r=st.floats(0.0, 0.2),
+    horizon=st.integers(1, 60),
+    eps=st.floats(1e-4, 0.1),
+    below=st.booleans(),
+)
+def test_closed_form_error_off_the_fixed_point_is_first_order(
+        alpha, p_a, a, n, r, horizon, eps, below):
+    # b0 = b_lambda*(1 + eps): the budget gap shrinks by lambda a year and
+    # moves the consumption tax by gamma*c'(b_lambda) per unit of gap, so
+    # |D_rec,k - D_cf,k| <= FO_k*(1 + |eps|), FO_k being that first-order
+    # tax gap compounded at 1 + r.
+    eps = -eps if below else eps
+    cons = make_consumer(alpha=alpha, gamma=alpha, p_a=p_a, a=a, n=n)
+    b_lam = fixed_point(cons).b_lambda
+    slope = alpha * n * a * b_lam ** (n - 1)
+    lam = 1.0 / (1.0 + n * (1.0 + alpha) * a * b_lam ** (n - 1))
+    debt = constant_debt(r=r, d0=5.0 * p_a, g0=0.4 * p_a)
+    b0 = b_lam * (1.0 + eps)
+    recursion = simulate(Scenario(consumer=cons, debt=debt, b0=b0, horizon=horizon)).debt
+    closed = debt_closed_form(debt, cons, horizon)
+    first_order = 0.0
+    for k in range(1, horizon + 1):
+        first_order = (1.0 + r) * first_order + slope * lam ** k * abs(b0 - b_lam)
+        assert abs(recursion[k] - closed[k - 1]) <= first_order * (1.0 + abs(eps))
+
+
 def test_debt_increment_is_the_condition_margin():
     # D_k - D_{k-1} = -(1+r)**(k-1) * margin_k for every schedule and year
     cons = make_consumer()

@@ -259,6 +259,13 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "consumer.alpha" in capsys.readouterr().err
 
 
+def test_an_integer_beyond_the_float_range_exits_one(tmp_path, capsys):
+    path = write_variant(tmp_path, "huge.yaml", "p_a: 100.0", "p_a: 1" + "0" * 400)
+    assert cli.main(["simulate", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: consumer.p_a: must be finite")
+
+
 def test_fixed_point_underflow_without_b0_exits_one(tmp_path, capsys):
     path = tmp_path / "tiny.yaml"
     path.write_text(BASELINE.replace("p_a: 100.0", "p_a: 1.0e-300")
@@ -295,6 +302,21 @@ def test_condition_near_the_float_limit_prints_finite_json(tmp_path, capsys):
     doc = strict_json(capsys.readouterr().out)
     assert doc["lhs"] == pytest.approx(1.5e308 / 19.0 * 18.0, rel=1e-15)
     assert doc["holds"] is True
+
+
+@pytest.mark.parametrize("delta_g", ["1.0", "-1.0"])
+def test_a_linear_limit_outside_the_float_range_is_left_out(tmp_path, capsys, delta_g):
+    # deltaG/r overflows at r = 1e-320: the limit is +-inf, the verdict finite
+    path = tmp_path / "tiny_rate.yaml"
+    path.write_text(BASELINE.replace("r: 0.05", "r: 1.0e-320").replace(
+        "schedule: {kind: constant, g0: 30.0}",
+        f"schedule: {{kind: linear, g1: 30.0, deltaG: {delta_g}}}"))
+    assert cli.main(["condition", str(path), "-k", "5", "--format", "json"]) == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["rhs_limit"] is None and doc["rhs"] == 30.0 + 4 * float(delta_g)
+    assert cli.main(["condition", str(path), "-k", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "rhs = " in out and "rhs_limit" not in out
 
 
 def test_condition_outside_the_float_range_exits_one(tmp_path, capsys):
@@ -362,3 +384,39 @@ def test_unknown_subcommand_is_cli_misuse(baseline_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate", baseline_path])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).parent.parent
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+# golden file -> argv; scenario paths are relative to the repository root
+GOLDEN = {
+    "closed_form_baseline.csv": ["closed-form", "scenarios/baseline.yaml"],
+    "closed_form_baseline.json": ["closed-form", "scenarios/baseline.yaml",
+                                  "--format", "json"],
+    "condition_baseline.txt": ["condition", "scenarios/baseline.yaml"],
+    "condition_baseline.json": ["condition", "scenarios/baseline.yaml", "--format", "json"],
+    "condition_linear_k7.txt": ["condition", "scenarios/linear_expenditure.yaml", "-k", "7"],
+    "condition_linear_k7.json": ["condition", "scenarios/linear_expenditure.yaml", "-k", "7",
+                                 "--format", "json"],
+    "fixed_point_baseline.txt": ["fixed-point", "scenarios/baseline.yaml"],
+    "fixed_point_baseline.json": ["fixed-point", "scenarios/baseline.yaml", "--format", "json"],
+    "sweep_r_baseline.csv": ["sweep", "scenarios/baseline.yaml", "--axis", "r",
+                             "--grid", "0:0.2:5"],
+    "sweep_r_baseline.json": ["sweep", "scenarios/baseline.yaml", "--axis", "r",
+                              "--grid", "0:0.2:5", "--format", "json"],
+    # alpha != gamma: every error cell holds a message with commas
+    "sweep_g0_unequal_rates.csv": ["sweep", "tests/data/unequal_rates.yaml", "--axis", "g0",
+                                   "--grid", "20:40:3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden_file_byte_for_byte(name, capsys):
+    command, scenario, *rest = GOLDEN[name]
+    assert cli.main([command, str(REPO / scenario), *rest]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")

@@ -172,6 +172,24 @@ def test_range_errors_name_the_file_path(old, new, path):
     assert str(excinfo.value).startswith(f"{path}: must ")
 
 
+HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize("old,new,path", [
+    ("p_a: 100.0", f"p_a: {HUGE}", "consumer.p_a"),
+    ("D0: 0.0", f"D0: {HUGE}", "debt.D0"),
+    ("{kind: constant, g0: 30.0}", f"{{kind: explicit, values: [30.0, -{HUGE}]}}",
+     "debt.schedule.values[1]"),
+    ("horizon: 10", f"b0: {HUGE}\n  horizon: 10", "run.b0"),
+], ids=["p_a", "D0", "values", "b0"])
+def test_an_integer_beyond_the_float_range_is_not_finite(old, new, path):
+    doc = RANGE_DOC.replace(old, new, 1)
+    assert doc != RANGE_DOC
+    with pytest.raises(ValidationError) as excinfo:
+        load_scenario(doc)
+    assert str(excinfo.value).startswith(f"{path}: must be finite, got ")
+
+
 def test_fixed_point_underflow_needs_an_explicit_b0():
     doc = RANGE_DOC.replace("p_a: 100.0", "p_a: 1.0e-300").replace("a: 0.15", "a: 1.0e+300")
     with pytest.raises(ValidationError) as excinfo:
@@ -291,6 +309,14 @@ def test_read_trajectory_rejects_malformed_documents(baseline_scenario):
     doc = json.loads(good)
     doc["b"] = doc["b"][:-1]  # mismatched series lengths
     with pytest.raises(ValidationError):
+        read_trajectory(json.dumps(doc))
+
+
+def test_read_trajectory_rejects_an_integer_beyond_the_float_range(baseline_scenario):
+    text = write_trajectory(simulate(baseline_scenario), format="json")
+    doc = json.loads(text)
+    doc["D"][3] = int(HUGE)
+    with pytest.raises(ValidationError, match=r"trajectory\.D\[3\]: must be finite"):
         read_trajectory(json.dumps(doc))
 
 

@@ -11,6 +11,7 @@ from debtdyn import (
     ConsumptionLaw,
     DebtParams,
     ExplicitSchedule,
+    FieldError,
     LinearSchedule,
     NonPositiveBudget,
     Scenario,
@@ -275,6 +276,21 @@ def test_scenario_invariants(baseline_consumer):
         Scenario(consumer=baseline_consumer, debt=debt, b0=18.0, horizon=0)
     with pytest.raises(ValueError):
         Scenario(consumer=baseline_consumer, debt=debt, b0=18.0, horizon=1.0)
+
+
+HUGE = 10 ** 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize("build,field,value", [
+    (lambda: make_consumer(p_a=HUGE), "p_a", "inf"),
+    (lambda: ConsumptionLaw(a=HUGE, n=2), "a", "inf"),
+    (lambda: DebtParams(r=0.05, d0=HUGE, schedule=ConstantSchedule(g0=1.0)), "d0", "inf"),
+    (lambda: ExplicitSchedule(values=(1.0, -HUGE)), "values[1]", "-inf"),
+])
+def test_an_integer_beyond_the_float_range_is_not_finite(build, field, value):
+    with pytest.raises(FieldError) as excinfo:
+        build()
+    assert (excinfo.value.field, excinfo.value.problem) == (field, f"must be finite, got {value}")
 
 
 def test_debt_params_allow_zero_rate():
