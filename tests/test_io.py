@@ -1,5 +1,6 @@
 """Scenario loading/validation and trajectory serialization tests."""
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -188,6 +189,85 @@ def test_an_integer_beyond_the_float_range_is_not_finite(old, new, path):
     with pytest.raises(ValidationError) as excinfo:
         load_scenario(doc)
     assert str(excinfo.value).startswith(f"{path}: must be finite, got ")
+
+
+# Every single-fault variant of a scenario document: each node of the file
+# schema over the three schedule kinds (and each explicit-schedule element),
+# missing or replaced by one wrong value. tests/data/golden/scenario_faults.txt
+# holds load_scenario's outcome for each, one line per variant.
+FAULT_BASE = {
+    "consumer": {"p_a": 100.0, "alpha": 0.25, "beta": 0.1, "gamma": 0.25, "m": 3,
+                 "law": {"a": 0.15, "n": 2}},
+    "debt": {"r": 0.05, "D0": 100.0, "schedule": None},
+    "run": {"b0": 18.0, "horizon": 5},
+}
+FAULT_SCHEDULES = {
+    "constant": {"kind": "constant", "g0": 30.0},
+    "linear": {"kind": "linear", "g1": 30.0, "deltaG": 1.0},
+    "explicit": {"kind": "explicit", "values": [30.0, 31.0, 33.0]},
+}
+MISSING = object()
+FAULTS = {"missing": MISSING, "null": None, "str": "x", "bool": True, "list": [1.0],
+          "neg": -1, "frac": 1.5, "huge": int(HUGE)}
+
+
+def _nodes(doc, path=()):
+    for key, value in doc.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from _nodes(value, (*path, key))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    doc = _get(doc, parents)
+    if value is MISSING:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def _outcome(doc, path) -> str:
+    try:
+        scenario = load_scenario(yaml.safe_dump(doc, sort_keys=False))
+    except (ParseError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    try:
+        return f"ok, {_get(scenario_to_dict(scenario), path)!r}"
+    except KeyError:
+        return "ok, absent"
+
+
+def fault_outcomes() -> str:
+    lines = []
+    for kind, schedule in FAULT_SCHEDULES.items():
+        base = copy.deepcopy(FAULT_BASE)
+        base["debt"]["schedule"] = schedule
+        variants = [(path, label, value) for path in _nodes(base)
+                    for label, value in FAULTS.items()]
+        variants += [(("debt", "schedule", "values", i), label, value)
+                     for i in range(len(schedule.get("values", ())))
+                     for label, value in FAULTS.items() if value is not MISSING]
+        variants += [((*path, "zz"), "unknown", 1)
+                     for path in [(), *_nodes(base)] if isinstance(_get(base, path), dict)]
+        for path, label, value in variants:
+            doc = copy.deepcopy(base)
+            _set(doc, path, value)
+            name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                           for key in path)[1:]
+            lines.append(f"{kind} {name} {label}: {_outcome(doc, path)}\n")
+    return "".join(lines)
+
+
+def test_single_fault_outcomes_match_golden_file(data_dir):
+    golden = (data_dir / "golden" / "scenario_faults.txt").read_bytes()
+    assert fault_outcomes().encode() == golden
 
 
 def test_fixed_point_underflow_needs_an_explicit_b0():
