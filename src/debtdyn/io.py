@@ -20,10 +20,10 @@ Scenario files are YAML documents with three sections::
       horizon: 10
 
 Unknown keys are rejected at every level so typos fail loudly. This module
-checks what only a document can get wrong: mapping shape, unknown and
-missing keys, number and integer types, finiteness. Range invariants belong
-to the model types; their field errors are re-raised here under the
-offending field's file path.
+checks only what a mapping can get wrong: its shape and its keys, missing
+and unknown. Every field rule (number or integer, finite, in range) is the
+model types'; `_build` maps a section's keys onto a type's fields and
+restates the type's field error under the file path of the field.
 
 Every text output is written by one of three writers: `write_table` (CSV),
 `write_record` (``key = value`` lines) and `write_json` (indented JSON).
@@ -54,6 +54,7 @@ from .model import (
     LinearSchedule,
     Scenario,
     Trajectory,
+    _number,
 )
 
 __all__ = [
@@ -80,7 +81,7 @@ class ValidationError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Field helpers
+# Scenario loading
 # ---------------------------------------------------------------------------
 
 def _fail(path: str, message: str):
@@ -103,24 +104,6 @@ def _get(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf if value > 0 else -math.inf
-    if not math.isfinite(number):
-        _fail(path, f"must be finite, got {number!r}")
-    return number
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"must be an integer, got {value!r}")
-    return value
-
-
 # Model field name -> scenario-file key, for the fields whose names differ.
 _FILE_KEYS = {"d0": "D0", "delta_g": "deltaG"}
 
@@ -135,41 +118,30 @@ def _key(name: str) -> str:
     return _FILE_KEYS.get(name, name)
 
 
-def _keys(cls) -> set[str]:
-    """File keys of a model type's fields."""
-    return {_key(f.name) for f in fields(cls)}
+def _restate(exc: FieldError, path: str) -> ValidationError:
+    """A model field error under the field's file path."""
+    return ValidationError(f"{path}.{_key(exc.field)}: {exc.problem}")
 
 
-def _field(doc: dict, path: str, name: str, parse=_number):
-    """Required model field ``name``, read under its file key."""
-    key = _key(name)
-    return parse(_get(doc, key, f"{path}.{key}"), f"{path}.{key}")
-
-
-def _build(cls, path: str, **values):
-    """Construct a model type, restating a field error under its file path."""
+def _build(cls, doc, path: str, extra: tuple = (), **given):
+    """Construct model type ``cls`` from the mapping ``doc`` at file path
+    ``path``. Fields in ``given`` are passed as they are; every other field
+    is read under its file key, through its parser in `_NESTED` if it has
+    one. A field whose default is None may be absent or null. ``extra``
+    names keys the mapping may hold besides the fields."""
+    read = [f for f in fields(cls) if f.name not in given]
+    doc = _mapping(doc, path, {*extra, *(_key(f.name) for f in read)})
+    for f in read:
+        key = _key(f.name)
+        if f.default is None and doc.get(key) is None:
+            continue
+        value = _get(doc, key, f"{path}.{key}")
+        parse = _NESTED.get(f.name)
+        given[f.name] = parse(value, f"{path}.{key}") if parse else value
     try:
-        return cls(**values)
+        return cls(**given)
     except FieldError as exc:
-        raise ValidationError(f"{path}.{_key(exc.field)}: {exc.problem}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Scenario loading
-# ---------------------------------------------------------------------------
-
-def _parse_consumer(doc, path: str) -> ConsumerParams:
-    doc = _mapping(doc, path, _keys(ConsumerParams))
-    rates = {name: _field(doc, path, name)
-             for name in ("p_a", "alpha", "beta", "gamma")}
-    m = doc.get("m")
-    if m is not None:  # explicit null reads as absent
-        m = _integer(m, f"{path}.m")
-    law_path = f"{path}.law"
-    law_doc = _mapping(_get(doc, "law", law_path), law_path, _keys(ConsumptionLaw))
-    law = _build(ConsumptionLaw, law_path, a=_field(law_doc, law_path, "a"),
-                 n=_field(law_doc, law_path, "n", _integer))
-    return _build(ConsumerParams, path, **rates, law=law, m=m)
+        raise _restate(exc, path) from exc
 
 
 def _parse_schedule(doc, path: str):
@@ -180,24 +152,14 @@ def _parse_schedule(doc, path: str):
     if cls is None:
         _fail(f"{path}.kind",
               f"must be one of {', '.join(map(repr, _SCHEDULE_KINDS))}, got {kind!r}")
-    doc = _mapping(doc, path, {"kind", *_keys(cls)})
-    if cls is not ExplicitSchedule:
-        return _build(cls, path, **{f.name: _field(doc, path, f.name)
-                                    for f in fields(cls)})
-    values = _get(doc, "values", f"{path}.values")
-    if not isinstance(values, list) or not values:
-        _fail(f"{path}.values", "must be a nonempty list of numbers")
-    return _build(cls, path, values=tuple(_number(v, f"{path}.values[{i}]")
-                                          for i, v in enumerate(values)))
+    return _build(cls, doc, path, extra=("kind",))
 
 
-def _parse_debt(doc, path: str) -> DebtParams:
-    doc = _mapping(doc, path, _keys(DebtParams))
-    schedule_path = f"{path}.schedule"
-    return _build(DebtParams, path, r=_field(doc, path, "r"),
-                  d0=_field(doc, path, "d0"),
-                  schedule=_parse_schedule(_get(doc, "schedule", schedule_path),
-                                           schedule_path))
+# Model field name -> parser of the nested type the field holds.
+_NESTED = {
+    "law": lambda doc, path: _build(ConsumptionLaw, doc, path),
+    "schedule": _parse_schedule,
+}
 
 
 def scenario_from_mapping(doc) -> Scenario:
@@ -206,19 +168,16 @@ def scenario_from_mapping(doc) -> Scenario:
     When run.b0 is absent it defaults to the consumer's fixed-point budget.
     """
     doc = _mapping(doc, "scenario", {"consumer", "debt", "run"})
-    consumer = _parse_consumer(_get(doc, "consumer", "consumer"), "consumer")
-    debt = _parse_debt(_get(doc, "debt", "debt"), "debt")
+    consumer = _build(ConsumerParams, _get(doc, "consumer", "consumer"), "consumer")
+    debt = _build(DebtParams, _get(doc, "debt", "debt"), "debt")
     run = _mapping(_get(doc, "run", "run"), "run", {"b0", "horizon"})
-    if run.get("b0") is not None:  # explicit null reads as absent
-        b0 = _number(run["b0"], "run.b0")
-    else:
+    if run.get("b0") is None:  # explicit null reads as absent
         try:
-            b0 = fixed_point(consumer).b_lambda
+            run = {**run, "b0": fixed_point(consumer).b_lambda}
         except FixedPointOutOfRange as exc:
             _fail("run.b0", f"required, since the fixed-point default is out of "
                             f"range ({exc})")
-    return _build(Scenario, "run", consumer=consumer, debt=debt, b0=b0,
-                  horizon=_field(run, "run", "horizon", _integer))
+    return _build(Scenario, run, "run", consumer=consumer, debt=debt)
 
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
@@ -232,7 +191,7 @@ def load_scenario(document: str) -> Scenario:
             doc = yaml.load(document, Loader=_LOADER)
         except yaml.YAMLError:
             doc = yaml.safe_load(document)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a value YAML cannot build
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(
@@ -280,7 +239,7 @@ def _text(value) -> str:
         return "" if math.isnan(value) else format_number(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
     return value.value if isinstance(value, Enum) else str(value)
 
@@ -339,7 +298,7 @@ def read_trajectory(document: str) -> Trajectory:
     0..K and every series must have K + 1 entries, K being run.horizon."""
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a value JSON cannot build
         raise ParseError(f"malformed trajectory document: {exc}") from exc
     doc = _mapping(doc, "trajectory", {"scenario", "k", "b", "c", "tau", "delta", "D"})
     scenario = scenario_from_mapping(_get(doc, "scenario", "trajectory.scenario"))
@@ -355,9 +314,11 @@ def read_trajectory(document: str) -> Trajectory:
         if len(raw) != len(years):
             _fail("trajectory.series", f"{key} has {len(raw)} entries, "
                                        f"run.horizon = {scenario.horizon} needs {len(years)}")
-        return np.array([np.nan if v is None else _number(v, f"trajectory.{key}[{i}]")
-                         for i, v in enumerate(raw)], dtype=float)
+        try:
+            return np.array([np.nan if v is None else _number(v, key, i)
+                             for i, v in enumerate(raw)], dtype=float)
+        except FieldError as exc:
+            raise _restate(exc, "trajectory") from exc
 
-    return _build(Trajectory, "trajectory", scenario=scenario, b=array("b"),
-                  c=array("c"), tau=array("tau"), delta=array("delta"),
-                  debt=array("D"))
+    return Trajectory(scenario=scenario, b=array("b"), c=array("c"), tau=array("tau"),
+                      delta=array("delta"), debt=array("D"))

@@ -74,18 +74,37 @@ class FieldError(ValueError):
         self.problem = problem
 
 
-def _check(condition: bool, field: str, problem: str) -> None:
+def _check(condition: bool, field: str, rule: str, value) -> None:
+    """Raise FieldError(field, "<rule>, got <value>") unless ``condition``
+    holds; the message is formatted only on failure."""
     if not condition:
-        raise FieldError(field, problem)
+        raise FieldError(field, f"{rule}, got {value!r}")
 
 
-def _finite(value: float, name: str) -> float:
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf if value > 0 else -math.inf
-    _check(math.isfinite(number), name, f"must be finite, got {number!r}")
-    return number
+_NUMBERS = (int, float, np.integer)  # numpy float64 is a float
+
+
+def _number(value, name: str, index: int | None = None) -> float:
+    """``value`` as a finite float; a bool is not a number. ``index`` names
+    an element of the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+        problem = f"must be a number, got {value!r}"
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf if value > 0 else -math.inf
+        if math.isfinite(number):
+            return number
+        problem = f"must be finite, got {number!r}"
+    raise FieldError(name if index is None else f"{name}[{index}]", problem)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is an int; a bool is not an integer."""
+    _check(isinstance(value, int) and not isinstance(value, bool), name,
+           "must be an integer", value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +123,9 @@ class ConsumptionLaw:
     n: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _finite(self.a, "a"))
-        _check(self.a > 0, "a", f"must be > 0, got {self.a!r}")
-        _check(isinstance(self.n, int) and not isinstance(self.n, bool),
-               "n", f"must be an integer, got {self.n!r}")
-        _check(self.n >= 2, "n", f"must be >= 2, got {self.n!r}")
+        object.__setattr__(self, "a", _number(self.a, "a"))
+        _check(self.a > 0, "a", "must be > 0", self.a)
+        _check(_integer(self.n, "n") >= 2, "n", "must be >= 2", self.n)
 
     def consumption(self, budget: float) -> float:
         """Yearly spending at the given budget level."""
@@ -145,15 +162,13 @@ class ConsumerParams:
 
     def __post_init__(self):
         for name in ("p_a", "alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
-        _check(self.p_a > 0, "p_a", f"must be > 0, got {self.p_a!r}")
-        _check(0 <= self.alpha < 1, "alpha", f"must be in [0, 1), got {self.alpha!r}")
-        _check(0 <= self.beta < 1, "beta", f"must be in [0, 1), got {self.beta!r}")
-        _check(self.gamma >= 0, "gamma", f"must be >= 0, got {self.gamma!r}")
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        _check(self.p_a > 0, "p_a", "must be > 0", self.p_a)
+        _check(0 <= self.alpha < 1, "alpha", "must be in [0, 1)", self.alpha)
+        _check(0 <= self.beta < 1, "beta", "must be in [0, 1)", self.beta)
+        _check(self.gamma >= 0, "gamma", "must be >= 0", self.gamma)
         if self.m is not None:
-            _check(isinstance(self.m, int) and not isinstance(self.m, bool),
-                   "m", f"must be an integer year, got {self.m!r}")
-            _check(self.m >= 1, "m", f"must be >= 1, got {self.m!r}")
+            _check(_integer(self.m, "m") >= 1, "m", "must be >= 1", self.m)
 
     def wealth_tax_rate(self, k: int) -> float:
         """beta in the wealth-tax year, zero in every other year."""
@@ -167,8 +182,8 @@ class ConstantSchedule:
     g0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "g0", _finite(self.g0, "g0"))
-        _check(self.g0 >= 0, "g0", f"must be >= 0, got {self.g0!r}")
+        object.__setattr__(self, "g0", _number(self.g0, "g0"))
+        _check(self.g0 >= 0, "g0", "must be >= 0", self.g0)
 
     def value_at(self, k: int) -> float:
         return self.g0
@@ -185,9 +200,9 @@ class LinearSchedule:
     delta_g: float
 
     def __post_init__(self):
-        object.__setattr__(self, "g1", _finite(self.g1, "g1"))
-        object.__setattr__(self, "delta_g", _finite(self.delta_g, "delta_g"))
-        _check(self.g1 > 0, "g1", f"must be > 0, got {self.g1!r}")
+        object.__setattr__(self, "g1", _number(self.g1, "g1"))
+        object.__setattr__(self, "delta_g", _number(self.delta_g, "delta_g"))
+        _check(self.g1 > 0, "g1", "must be > 0", self.g1)
 
     def value_at(self, k: int) -> float:
         return (k - 1) * self.delta_g + self.g1
@@ -200,9 +215,13 @@ class ExplicitSchedule:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
-        object.__setattr__(self, "values", values)
-        _check(len(values) > 0, "values", "must be nonempty")
+        values = self.values
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if not isinstance(values, (list, tuple)) or not values:
+            raise FieldError("values", "must be a nonempty list of numbers")
+        object.__setattr__(self, "values", tuple(_number(v, "values", i)
+                                                 for i, v in enumerate(values)))
 
     def value_at(self, k: int) -> float:
         if k > len(self.values):
@@ -228,10 +247,10 @@ class DebtParams:
     schedule: ExpenditureSchedule
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _finite(self.r, "r"))
-        object.__setattr__(self, "d0", _finite(self.d0, "d0"))
-        _check(self.r >= 0, "r", f"must be >= 0, got {self.r!r}")
-        _check(self.d0 >= 0, "d0", f"must be >= 0, got {self.d0!r}")
+        object.__setattr__(self, "r", _number(self.r, "r"))
+        object.__setattr__(self, "d0", _number(self.d0, "d0"))
+        _check(self.r >= 0, "r", "must be >= 0", self.r)
+        _check(self.d0 >= 0, "d0", "must be >= 0", self.d0)
 
 
 @dataclass(frozen=True)
@@ -244,11 +263,10 @@ class Scenario:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "b0", _finite(self.b0, "b0"))
-        _check(self.b0 > 0, "b0", f"must be > 0, got {self.b0!r}")
-        _check(isinstance(self.horizon, int) and not isinstance(self.horizon, bool),
-               "horizon", f"must be an integer, got {self.horizon!r}")
-        _check(self.horizon >= 1, "horizon", f"must be >= 1, got {self.horizon!r}")
+        object.__setattr__(self, "b0", _number(self.b0, "b0"))
+        _check(self.b0 > 0, "b0", "must be > 0", self.b0)
+        _check(_integer(self.horizon, "horizon") >= 1, "horizon", "must be >= 1",
+               self.horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +290,10 @@ class Trajectory:
     def __post_init__(self):
         lengths = {len(self.b), len(self.c), len(self.tau),
                    len(self.delta), len(self.debt)}
-        _check(lengths == {len(self.b)}, "series", f"lengths differ: {sorted(lengths)}")
-        _check(len(self.b) >= 1, "series", "must include the initial year")
+        if len(lengths) != 1:
+            raise FieldError("series", f"lengths differ: {sorted(lengths)}")
+        if not len(self.b):
+            raise FieldError("series", "must include the initial year")
 
     @property
     def horizon(self) -> int:

@@ -266,6 +266,14 @@ def test_an_integer_beyond_the_float_range_exits_one(tmp_path, capsys):
     assert out == "" and err.startswith("error: consumer.p_a: must be finite")
 
 
+@pytest.mark.parametrize("value", ["1" * 5000, "2020-13-45"], ids=["digits", "date"])
+def test_a_value_the_yaml_reader_cannot_build_exits_one(tmp_path, capsys, value):
+    path = write_variant(tmp_path, "unbuildable.yaml", "p_a: 100.0", f"p_a: {value}")
+    assert cli.main(["simulate", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed scenario document: ")
+
+
 def test_fixed_point_underflow_without_b0_exits_one(tmp_path, capsys):
     path = tmp_path / "tiny.yaml"
     path.write_text(BASELINE.replace("p_a: 100.0", "p_a: 1.0e-300")

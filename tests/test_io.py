@@ -270,6 +270,26 @@ def test_single_fault_outcomes_match_golden_file(data_dir):
     assert fault_outcomes().encode() == golden
 
 
+# values the YAML and JSON readers cannot construct: an integer literal past
+# Python's digit limit for int-from-str conversion, and a date with month 13
+UNBUILDABLE = {"digits": "1" * 5000, "date": "2020-13-45"}
+
+
+@pytest.mark.parametrize("value", UNBUILDABLE.values(), ids=UNBUILDABLE.keys())
+def test_a_value_the_yaml_reader_cannot_build_is_a_parse_error(value):
+    doc = RANGE_DOC.replace("p_a: 100.0", f"p_a: {value}")
+    with pytest.raises(ParseError, match="^malformed scenario document: "):
+        load_scenario(doc)
+
+
+def test_a_number_the_json_reader_cannot_build_is_a_parse_error(baseline_scenario):
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc["D"][3] = 0.5
+    text = json.dumps(doc).replace("0.5", UNBUILDABLE["digits"], 1)
+    with pytest.raises(ParseError, match="^malformed trajectory document: "):
+        read_trajectory(text)
+
+
 def test_fixed_point_underflow_needs_an_explicit_b0():
     doc = RANGE_DOC.replace("p_a: 100.0", "p_a: 1.0e-300").replace("a: 0.15", "a: 1.0e+300")
     with pytest.raises(ValidationError) as excinfo:

@@ -293,6 +293,62 @@ def test_an_integer_beyond_the_float_range_is_not_finite(build, field, value):
     assert (excinfo.value.field, excinfo.value.problem) == (field, f"must be finite, got {value}")
 
 
+BASELINE_LAW = ConsumptionLaw(a=0.15, n=2)
+BASELINE_DEBT = DebtParams(r=0.05, d0=100.0, schedule=ConstantSchedule(g0=30.0))
+# a valid keyword set per type; every field but a nested type's is numeric
+VALID_FIELDS = {
+    ConsumptionLaw: dict(a=0.15, n=2),
+    ConsumerParams: dict(p_a=100.0, alpha=0.25, beta=0.1, gamma=0.25, law=BASELINE_LAW,
+                         m=3),
+    ConstantSchedule: dict(g0=30.0),
+    LinearSchedule: dict(g1=30.0, delta_g=1.0),
+    DebtParams: dict(r=0.05, d0=100.0, schedule=BASELINE_DEBT.schedule),
+    Scenario: dict(consumer=make_consumer(), debt=BASELINE_DEBT, b0=18.0, horizon=10),
+}
+NUMERIC_FIELDS = [(cls, name) for cls, kwargs in VALID_FIELDS.items() for name in kwargs
+                  if name not in ("law", "schedule", "consumer", "debt")]
+WRONG_TYPES = {"str": "x", "bool": True, "none": None, "list": [1.0]}
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{label}")
+    for cls, name in NUMERIC_FIELDS for label, value in WRONG_TYPES.items()
+    if (name, value) != ("m", None)  # m = None means no levy
+])
+def test_a_field_of_the_wrong_type_is_a_field_error(cls, name, value):
+    with pytest.raises(FieldError) as excinfo:
+        cls(**{**VALID_FIELDS[cls], name: value})
+    assert excinfo.value.field == name
+    assert excinfo.value.problem.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("values", ["123", 5, {}, None, True, np.array(1.0)],
+                         ids=repr)
+def test_explicit_values_must_be_a_nonempty_list(values):
+    with pytest.raises(FieldError) as excinfo:
+        ExplicitSchedule(values=values)
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        "values", "must be a nonempty list of numbers")
+
+
+def test_explicit_values_name_the_wrong_element():
+    with pytest.raises(FieldError) as excinfo:
+        ExplicitSchedule(values=[30.0, "31"])
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        "values[1]", "must be a number, got '31'")
+
+
+def test_numpy_numbers_are_accepted_as_floats():
+    consumer = make_consumer(p_a=np.int64(100), alpha=np.float64(0.25),
+                             a=np.float64(0.15))
+    assert (consumer.p_a, consumer.alpha, consumer.law.a) == (100.0, 0.25, 0.15)
+    assert {type(consumer.p_a), type(consumer.alpha), type(consumer.law.a)} == {float}
+    for values in (np.array([30.0, 31.5]), np.array([30, 31]), (np.float64(30.0),)):
+        schedule = ExplicitSchedule(values=values)
+        assert schedule.values == tuple(float(v) for v in values)
+        assert {type(v) for v in schedule.values} == {float}
+
+
 def test_debt_params_allow_zero_rate():
     # the recursion is defined at r = 0; only closed forms reject it
     assert DebtParams(r=0.0, d0=0.0, schedule=ConstantSchedule(g0=1.0)).r == 0.0
