@@ -210,7 +210,11 @@ class LinearSchedule:
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
-    """Expenditure listed year by year (year 1 first)."""
+    """Expenditure listed year by year (year 1 first).
+
+    ``values`` is a nonempty list, tuple or 1-D array of numbers, stored as a
+    tuple of floats.
+    """
 
     values: tuple[float, ...]
 

@@ -284,8 +284,8 @@ def test_a_value_the_yaml_reader_cannot_build_is_a_parse_error(value):
 
 def test_a_number_the_json_reader_cannot_build_is_a_parse_error(baseline_scenario):
     doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
-    doc["D"][3] = 0.5
-    text = json.dumps(doc).replace("0.5", UNBUILDABLE["digits"], 1)
+    doc["D"][3] = "digits"
+    text = json.dumps(doc).replace('"digits"', UNBUILDABLE["digits"])
     with pytest.raises(ParseError, match="^malformed trajectory document: "):
         read_trajectory(text)
 
