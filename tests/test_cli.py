@@ -420,6 +420,15 @@ GOLDEN = {
     # alpha != gamma: every error cell holds a message with commas
     "sweep_g0_unequal_rates.csv": ["sweep", "tests/data/unequal_rates.yaml", "--axis", "g0",
                                    "--grid", "20:40:3"],
+    # alpha = 0 and 1.5 fail; 0.25 repeats
+    "sweep_alpha_baseline.json": ["sweep", "scenarios/baseline.yaml", "--axis", "alpha",
+                                  "--grid", "0,0.1,0.25,0.25,0.5,0.9,1.5", "--format", "json"],
+    # a levy year: one budget path per consumer, 100 repeats
+    "sweep_p_a_wealth_tax.json": ["sweep", "tests/data/wealth_tax.yaml", "--axis", "p_a",
+                                  "--grid", "0,50,100,150,100", "--format", "json"],
+    # D0 = -1 is invalid and the debt from D0 = 1.75e308 overflows in year 1
+    "sweep_D0_linear_k5.json": ["sweep", "tests/data/linear.yaml", "--axis", "D0", "-k", "5",
+                                "--grid=-1,0,50,100,200,1e308,1.75e308", "--format", "json"],
 }
 
 
