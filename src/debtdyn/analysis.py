@@ -22,6 +22,7 @@ from .model import (
     ConstantSchedule,
     ConsumerParams,
     DebtParams,
+    ExpenditureSchedule,
     ExplicitSchedule,
     LinearSchedule,
     ModelError,
@@ -112,13 +113,13 @@ def fixed_point(params: ConsumerParams) -> FixedPoint:
     """
     law = params.law
     b = ((1.0 - params.alpha) * params.p_a
-         / ((1.0 + params.gamma) * law.a)) ** (1.0 / law.n)
+         / ((1.0 + params.gamma) * law.a)) ** (1 / law.n)  # 1/n of an int n cannot overflow
     return FixedPoint(b_lambda=b)
 
 
-def _expenditure(debt: DebtParams, horizon: int) -> np.ndarray:
+def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> np.ndarray:
     """g_1..g_K; ScheduleTooShort names the first year an explicit one lacks."""
-    return np.array([debt.schedule.value_at(k) for k in range(1, horizon + 1)])
+    return np.array([schedule.value_at(k) for k in range(1, horizon + 1)])
 
 
 def _budget_path(consumer: ConsumerParams, b0: float,
@@ -140,14 +141,14 @@ def _budget_path(consumer: ConsumerParams, b0: float,
     return tuple(np.array(s + s[-1:] * rest) for s in (b, c, tau))
 
 
-def _debt_path(debt: DebtParams, g: np.ndarray,
-               tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift g_k - tau_k and debt for years 0..K (drift NaN in year 0)."""
-    delta = np.concatenate(([math.nan], g - tau[1:]))
-    series = [debt.d0]
-    for drift in delta[1:].tolist():
-        series.append(debt_step(debt, series[-1], drift))
-    return delta, _finite_debt(np.array(series), first_year=0)
+def _debt_path(r, d0, drifts) -> list:
+    """Debt D_0..D_K from D0 and the drifts of years 1..K by `debt_step`:
+    over floats for one path, or over arrays (r, D0 and each year's drifts)
+    for one path per element, each equal bit for bit to its float path."""
+    series = [d0]
+    for drift in drifts:
+        series.append(debt_step(r, series[-1], drift))
+    return series
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -159,10 +160,13 @@ def simulate(scenario: Scenario) -> Trajectory:
     explicit schedule does not cover the horizon, and DebtNotFinite if the
     debt leaves the float range.
     """
-    g = _expenditure(scenario.debt, scenario.horizon)
+    debt = scenario.debt
+    g = _expenditure(debt.schedule, scenario.horizon)
     b, c, tau = _budget_path(scenario.consumer, scenario.b0, scenario.horizon)
-    delta, debt = _debt_path(scenario.debt, g, tau)
-    return Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta, debt=debt)
+    delta = np.concatenate(([math.nan], g - tau[1:]))
+    series = np.array(_debt_path(debt.r, debt.d0, delta[1:].tolist()))
+    return Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta,
+                      debt=_finite_debt(series, first_year=0))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
     cover the horizon."""
     _require_simple_regime(consumer, "the fixed-point closed form")
     return debt_closed_form_general(
-        debt, _expenditure(debt, horizon) - _fixed_point_surplus(consumer))
+        debt, _expenditure(debt.schedule, horizon) - _fixed_point_surplus(consumer))
 
 
 # ---------------------------------------------------------------------------
@@ -369,33 +373,44 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
         raise ValueError("sweep axis 'g0' requires a constant expenditure schedule")
     _condition_year(base.debt, k)
 
-    # Points with the same consumer share one budget path; failures are not cached.
+    # Points share each expenditure series and budget path (a cache that
+    # keeps no failures) and one debt recursion, a column per point.
+    expenditure = lru_cache(maxsize=None)(_expenditure)
     budget_path = lru_cache(maxsize=None)(_budget_path)
-    points = []
-    for raw in grid:
-        value = float(raw)
+    values = [float(raw) for raw in grid]
+    reports, finals, errors = [None] * len(values), [None] * len(values), [[] for _ in values]
+    columns = []  # (point, DebtParams, drifts) of each point that reaches the debt step
+    for i, value in enumerate(values):
         try:
             scenario = _with_value(base, axis, value)
         except (ModelError, ValueError) as exc:
-            points.append(SweepPoint(value=value, report=None, final_debt=None,
-                                     error=str(exc)))
+            errors[i].append(str(exc))
             continue
-        errors = []
-        report = None
-        final_debt = None
         try:
-            report = decrease_condition(scenario.consumer, scenario.debt, k)
+            reports[i] = decrease_condition(scenario.consumer, scenario.debt, k)
         except ModelError as exc:
-            errors.append(str(exc))
+            errors[i].append(str(exc))
         try:
-            g = _expenditure(scenario.debt, scenario.horizon)
+            g = expenditure(scenario.debt.schedule, scenario.horizon)
             tau = budget_path(scenario.consumer, scenario.b0, scenario.horizon)[2]
-            final_debt = float(_debt_path(scenario.debt, g, tau)[1][-1])
         except ModelError as exc:
-            errors.append(str(exc))
-        points.append(SweepPoint(value=value, report=report, final_debt=final_debt,
-                                 error="; ".join(errors) or None))
-    return points
+            errors[i].append(str(exc))
+            continue
+        columns.append((i, scenario.debt, g - tau[1:]))
+    if columns:
+        points, debts, drifts = zip(*columns)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is found below
+            paths = np.array(_debt_path(np.array([d.r for d in debts]),
+                                        np.array([d.d0 for d in debts]),
+                                        np.array(drifts).T))
+        for i, path, ok in zip(points, paths.T, np.isfinite(paths).all(axis=0).tolist()):
+            try:
+                finals[i] = float((path if ok else _finite_debt(path, first_year=0))[-1])
+            except DebtNotFinite as exc:
+                errors[i].append(str(exc))
+    return [SweepPoint(value=value, report=report, final_debt=final_debt,
+                       error="; ".join(messages) or None)
+            for value, report, final_debt, messages in zip(values, reports, finals, errors)]
 
 
 # ---------------------------------------------------------------------------

@@ -302,18 +302,20 @@ def read_trajectory(document: str) -> Trajectory:
         raise ParseError(f"malformed trajectory document: {exc}") from exc
     doc = _mapping(doc, "trajectory", {"scenario", "k", "b", "c", "tau", "delta", "D"})
     scenario = scenario_from_mapping(_get(doc, "scenario", "trajectory.scenario"))
-    years = list(range(scenario.horizon + 1))
+    years = scenario.horizon + 1
     k = _get(doc, "k", "trajectory.k")
-    if k != years or any(type(year) is not int for year in k):
+    # the length first: a horizon beyond the C index range has no list of its years
+    if not isinstance(k, list) or len(k) != years or k != list(range(years)) \
+            or any(type(year) is not int for year in k):
         _fail("trajectory.k", f"must be the years 0..{scenario.horizon} of run.horizon")
 
     def array(key: str) -> np.ndarray:
         raw = _get(doc, key, f"trajectory.{key}")
         if not isinstance(raw, list):
             _fail(f"trajectory.{key}", "must be a list")
-        if len(raw) != len(years):
+        if len(raw) != years:
             _fail("trajectory.series", f"{key} has {len(raw)} entries, "
-                                       f"run.horizon = {scenario.horizon} needs {len(years)}")
+                                       f"run.horizon = {scenario.horizon} needs {years}")
         try:
             return np.array([np.nan if v is None else _number(v, key, i)
                              for i, v in enumerate(raw)], dtype=float)

@@ -333,9 +333,10 @@ def _positive_root(coeff: float, n: int, slope: float, rhs: float) -> float:
     increasing and convex, so Newton steps from above stay above the root and
     fall monotonically onto it. Returns once the relative step drops below
     1e-12; raises SolverDidNotConverge if that takes more than 200 steps or
-    if x**n leaves the float range.
+    if x**n leaves the float range (as it does for any n beyond it, whose
+    1/n is 0.0).
     """
-    x = min(rhs / slope, (rhs / coeff) ** (1.0 / n))
+    x = min(rhs / slope, (rhs / coeff) ** (1 / n))
     try:
         for _ in range(_MAX_ITER):
             x_new = x - (coeff * x ** n + slope * x - rhs) \
@@ -376,6 +377,7 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     return _positive_root(coeff, params.law.n, slope, rhs)
 
 
-def debt_step(debt: DebtParams, d_prev: float, drift: float) -> float:
-    """One year of debt evolution: interest accrual plus the year's drift."""
-    return (1.0 + debt.r) * d_prev + drift
+def debt_step(r, d_prev, drift):
+    """One year of debt evolution at rate r: interest accrual plus the
+    year's drift. Floats or numpy arrays (one debt per element)."""
+    return (1.0 + r) * d_prev + drift

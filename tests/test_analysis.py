@@ -308,7 +308,7 @@ def test_closed_form_and_recursion_error_against_the_condition_scale():
         closed = debt_closed_form_general(debt, drifts).tolist()
         recursion, exact, scale = d0, Fraction(d0), abs(d0)
         for k, drift in enumerate(drifts):
-            recursion = debt_step(debt, recursion, drift)
+            recursion = debt_step(r, recursion, drift)
             exact = (1 + Fraction(r)) * exact + Fraction(drift)
             scale = (1.0 + r) * scale + abs(drift)
             assert abs(Fraction(recursion) - exact) <= 2.5e-16 * Fraction(scale)
@@ -664,6 +664,31 @@ def test_a_late_levy_still_fires_after_a_stationary_stretch(monkeypatch):
     assert b[199] == b[198]  # stationary long before the levy
     assert b[200] != b[199] and got[2][200] != got[2][199]
     assert 200 in years and len(years) < horizon  # solved through m, then stationary again
+
+
+@pytest.mark.parametrize("axis,grid", [("r", np.linspace(0.0, 0.2, 20)),
+                                       ("D0", np.linspace(0.0, 500.0, 20)),
+                                       ("g0", np.linspace(10.0, 50.0, 20))])
+def test_a_sweep_that_keeps_the_consumer_solves_one_budget_path(baseline_scenario,
+                                                               monkeypatch, axis, grid):
+    years = counting_steps(monkeypatch)
+    simulate(baseline_scenario)
+    once = len(years)
+    years.clear()
+    sweep(baseline_scenario, axis, grid)
+    assert len(years) == once > 1
+
+
+def test_an_alpha_sweep_solves_one_budget_path_per_distinct_value(baseline_scenario,
+                                                                 monkeypatch):
+    grid = [0.1, 0.25, 0.1, 0.4, 0.25, 0.1]
+    years = counting_steps(monkeypatch)
+    for alpha in sorted(set(grid)):
+        simulate(_with_value(baseline_scenario, "alpha", alpha))
+    want = len(years)
+    years.clear()
+    sweep(baseline_scenario, "alpha", grid)
+    assert len(years) == want > 3
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,23 @@ def test_an_integer_beyond_the_float_range_exits_one(tmp_path, capsys):
     assert out == "" and err.startswith("error: consumer.p_a: must be finite")
 
 
+def test_an_exponent_beyond_the_float_range_is_a_solver_failure(tmp_path, capsys):
+    # n = 10**400 is a valid integer >= 2; 1/n is 0.0, so b_lambda is 1
+    path = write_variant(tmp_path, "huge_n.yaml", "n: 2", "n: 1" + "0" * 400)
+    assert cli.main(["fixed-point", path]) == 0
+    assert capsys.readouterr().out == "b_lambda = 1\n"
+    no_b0 = tmp_path / "huge_n_no_b0.yaml"
+    no_b0.write_text(Path(path).read_text().replace("b0: 18.0\n  ", ""))
+    assert cli.main(["simulate", str(no_b0)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: budget root of ")
+    assert cli.main(["sweep", path, "--axis", "r", "--grid", "0:0.1:3"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 3
+    assert all(row["holds"] and row["final_D"] == "" and row["error"].startswith(
+        "budget root of ") for row in rows)
+
+
 @pytest.mark.parametrize("value", ["1" * 5000, "2020-13-45"], ids=["digits", "date"])
 def test_a_value_the_yaml_reader_cannot_build_exits_one(tmp_path, capsys, value):
     path = write_variant(tmp_path, "unbuildable.yaml", "p_a: 100.0", f"p_a: {value}")

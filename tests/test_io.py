@@ -440,6 +440,14 @@ def test_read_trajectory_requires_every_year_of_the_horizon(baseline_scenario, y
         read_trajectory(json.dumps(doc))
 
 
+def test_read_trajectory_rejects_a_horizon_beyond_the_index_range(baseline_scenario):
+    # Scenario accepts run.horizon = 10**29, but no k list can hold its years
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc["scenario"]["run"]["horizon"] = 10**29
+    with pytest.raises(ValidationError, match=r"trajectory\.k: must be the years 0\.\.10{29} "):
+        read_trajectory(json.dumps(doc))
+
+
 def test_read_trajectory_names_the_short_series(baseline_scenario):
     doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
     doc["D"] = doc["D"][:-1]

@@ -207,14 +207,12 @@ def test_drift_in_the_wealth_tax_year():
 
 
 def test_debt_step_zero_initial_debt():
-    debt = DebtParams(r=0.05, d0=0.0, schedule=ConstantSchedule(g0=30.0))
-    assert debt_step(debt, 0.0, 30.0) == 30.0
+    assert debt_step(0.05, 0.0, 30.0) == 30.0
 
 
 def test_debt_step_arithmetic():
-    debt = DebtParams(r=0.05, d0=100.0, schedule=ConstantSchedule(g0=30.0))
-    assert debt_step(debt, 100.0, -10.0) == pytest.approx(95.0, rel=1e-12)
-    assert debt_step(debt, 100.0, 0.0) == pytest.approx(105.0, rel=1e-12)
+    assert debt_step(0.05, 100.0, -10.0) == pytest.approx(95.0, rel=1e-12)
+    assert debt_step(0.05, 100.0, 0.0) == pytest.approx(105.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
