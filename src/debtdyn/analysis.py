@@ -192,19 +192,19 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
     (1+r)**(j-1) * T_j, the running sum of the `_thresholds` increments. It
     restarts from the last value every B years, B as large as keeps (1+r)**B
     below 2**256 (one block at r = 0), so no growth factor overflows and
-    T_j = 0 adds exactly 0. Raises DebtNotFinite once the series leaves the
-    float range."""
-    drifts = np.asarray(drifts, dtype=float)
+    T_j = 0 adds exactly 0. The growth factors come from Python's ``**``,
+    as in `_thresholds`, so no digit depends on the CPU. Raises
+    DebtNotFinite once the series leaves the float range."""
+    drifts, growth = list(map(float, drifts)), 1.0 + debt.r
     max_block = 256 * math.log(2.0) / math.log1p(debt.r) if debt.r else math.inf
     block = max(1, int(min(len(drifts), max_block)))
-    blocks, start = [np.empty(0)], debt.d0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(drifts), block):
-            chunk = drifts[lo:lo + block]
-            steps = np.fromiter(_thresholds(chunk.tolist(), debt.r, start), float, len(chunk))
-            blocks.append(start + np.cumsum(steps * (1.0 + debt.r) ** np.arange(len(chunk))))
-            start = blocks[-1][-1]
-    return _finite_debt(np.concatenate(blocks), first_year=1)
+    series, start = [], debt.d0
+    for lo in range(0, len(drifts), block):
+        steps = _thresholds(drifts[lo:lo + block], debt.r, start)
+        series.extend(start + partial for partial in
+                      accumulate(t * growth ** j for j, t in enumerate(steps)))
+        start = series[-1]
+    return _finite_debt(np.array(series), first_year=1)
 
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
@@ -231,8 +231,8 @@ def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
     alpha = gamma; raises ScheduleTooShort if an explicit schedule does not
     cover the horizon."""
     _require_simple_regime(consumer, "the fixed-point closed form")
-    return debt_closed_form_general(
-        debt, _expenditure(debt.schedule, horizon) - _fixed_point_surplus(consumer))
+    drifts = _expenditure(debt.schedule, horizon) - _fixed_point_surplus(consumer)
+    return debt_closed_form_general(debt, drifts.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,12 @@ def parse_grid(spec: str) -> list[float]:
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}; {_GRID_HELP}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"bad grid {spec!r}: no values; {_GRID_HELP}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +154,14 @@ _p.set_defaults(func=cmd_sweep)
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        scenario = io.load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        scenario = io.load_scenario(Path(args.scenario).read_bytes())
         text = args.func(scenario, args)
         if args.output is None:
             sys.stdout.write(text)
         else:
             Path(args.output).write_text(text, encoding="utf-8")
         return 0
-    except (FileNotFoundError, io.ParseError, io.ValidationError, ModelError) as exc:
+    except (OSError, io.ParseError, io.ValidationError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # bad year/axis combinations are usage errors

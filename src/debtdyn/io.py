@@ -183,9 +183,11 @@ def scenario_from_mapping(doc) -> Scenario:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
 
 
-def load_scenario(document: str) -> Scenario:
-    """Parse and validate a YAML scenario document. A document that libyaml
-    rejects is parsed again in pure Python, whose error quotes the line."""
+def load_scenario(document: str | bytes) -> Scenario:
+    """Parse and validate a YAML scenario document, text or the bytes of a
+    file (which the YAML reader decodes, naming the position of a byte it
+    cannot). A document that libyaml rejects is parsed again in pure Python,
+    whose error quotes the line."""
     try:
         try:
             doc = yaml.load(document, Loader=_LOADER)

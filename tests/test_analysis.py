@@ -193,6 +193,32 @@ def test_general_closed_form_reproduces_arbitrary_trajectories():
         assert max_rel_deviation(closed, traj.debt[1:]) < 1e-9
 
 
+def closed_form_loop(r, d0, drifts):
+    # D_k = D0 + sum_{j<=k} (1+r)**(j-1) * T_j over plain Python floats,
+    # restarted from the last value every B years, (1+r)**B <= 2**256
+    block = int(256 * math.log(2.0) / math.log1p(r)) if r else len(drifts)
+    out, start = [], d0
+    for lo in range(0, len(drifts), block):
+        x = drifts[lo:lo + block]
+        for j in range(len(x)):
+            t = x[0] + r * start if j == 0 else t + (x[j] - x[j - 1]) * (1.0 + r) ** -j
+            total = t if j == 0 else total + t * (1.0 + r) ** j
+            out.append(start + total)
+        start = out[-1]
+    return out
+
+
+@pytest.mark.parametrize("r", [0.05, 0.2])
+def test_general_closed_form_equals_the_plain_loop_bit_for_bit(r):
+    # every growth factor is Python's (1+r)**j, whatever the CPU; 3,000
+    # years are one block at r = 0.05 (B = 3,636) and four at 0.2 (B = 973)
+    rng = np.random.default_rng(11)
+    drifts = rng.uniform(-20.0, 20.0, 3000).tolist()
+    debt = constant_debt(r=r, d0=100.0, g0=0.0)
+    assert debt_closed_form_general(debt, drifts).tolist() \
+        == closed_form_loop(r, 100.0, drifts)
+
+
 def test_fixed_point_closed_form_drift_cancellation():
     cons = make_consumer()
     # g0 equal to the fixed-point tax intake: debt is pure compounding

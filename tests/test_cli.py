@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -215,6 +217,27 @@ def test_sweep_bad_grid_is_cli_misuse(baseline_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("spec,problem", [
+    ("0:1:0", "grid count must be >= 1"),
+    ("a:1:3", "bad grid 'a:1:3'; "),
+    (",", "bad grid ',': no values; "),
+    ("", "bad grid '': no values; "),
+])
+def test_parse_grid_rejects_a_grid_with_no_usable_values(baseline_path, capsys,
+                                                         spec, problem):
+    with pytest.raises(argparse.ArgumentTypeError, match=f"^{re.escape(problem)}"):
+        cli.parse_grid(spec)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["sweep", baseline_path, "--axis", "g0", "--grid", spec])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and problem in err
+
+
+def test_parse_grid_with_one_point_is_its_start():
+    assert cli.parse_grid("5:9:1") == [5.0]
+
+
 def test_structural_misuse_exits_two(tmp_path, baseline_path, capsys):
     assert cli.main(["condition", baseline_path, "-k", "0"]) == 0  # k ignored for constant g
     capsys.readouterr()
@@ -251,6 +274,25 @@ def test_a_missing_year_is_misuse_before_any_regime_error(tmp_path, capsys, argv
 def test_missing_scenario_file_exits_one(capsys):
     assert cli.main(["simulate", "/nonexistent/scenario.yaml"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["scenario", "output"])
+def test_a_directory_in_place_of_a_file_exits_one(baseline_path, tmp_path, capsys,
+                                                  target):
+    argv = ["simulate", str(tmp_path)] if target == "scenario" \
+        else ["simulate", baseline_path, "-o", str(tmp_path)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_a_scenario_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(("# d\u00e9bit" + BASELINE).encode("latin-1"))
+    assert cli.main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed scenario document: ")
+    assert "position 3" in err  # the byte 0xe9 of the latin-1 e-acute
 
 
 def test_invalid_scenario_exits_one(tmp_path, capsys):

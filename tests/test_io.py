@@ -453,3 +453,11 @@ def test_read_trajectory_names_the_short_series(baseline_scenario):
     doc["D"] = doc["D"][:-1]
     with pytest.raises(ValidationError, match=r"trajectory\.series: D has 10 entries"):
         read_trajectory(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["b", "D"])
+def test_read_trajectory_names_a_series_that_is_not_a_list(baseline_scenario, key):
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc[key] = {"0": 18.0}
+    with pytest.raises(ValidationError, match=rf"^trajectory\.{key}: must be a list$"):
+        read_trajectory(json.dumps(doc))

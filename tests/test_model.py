@@ -17,6 +17,7 @@ from debtdyn import (
     Scenario,
     ScheduleTooShort,
     SolverDidNotConverge,
+    Trajectory,
     consumer_step,
     debt_step,
     model,
@@ -345,6 +346,18 @@ def test_numpy_numbers_are_accepted_as_floats():
         schedule = ExplicitSchedule(values=values)
         assert schedule.values == tuple(float(v) for v in values)
         assert {type(v) for v in schedule.values} == {float}
+
+
+@pytest.mark.parametrize("lengths,problem", [
+    ((11, 11, 11, 11, 10), "lengths differ: [10, 11]"),
+    ((0, 0, 0, 0, 0), "must include the initial year"),
+])
+def test_trajectory_series_must_share_a_nonempty_length(lengths, problem):
+    scenario = Scenario(consumer=make_consumer(), debt=BASELINE_DEBT, b0=18.0, horizon=10)
+    b, c, tau, delta, debt = (np.zeros(n) for n in lengths)
+    with pytest.raises(FieldError) as excinfo:
+        Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta, debt=debt)
+    assert (excinfo.value.field, excinfo.value.problem) == ("series", problem)
 
 
 def test_debt_params_allow_zero_rate():
