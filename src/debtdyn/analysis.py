@@ -14,9 +14,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, tee
-
-import numpy as np
+from itertools import accumulate, islice, tee
+from operator import sub
+from typing import TYPE_CHECKING
 
 from .model import (
     ConstantSchedule,
@@ -29,9 +29,11 @@ from .model import (
     Scenario,
     Trajectory,
     consumer_step,
-    debt_step,
     tax,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AlphaIsZero",
@@ -74,15 +76,12 @@ class ConditionNotFinite(ModelError):
     """The decrease condition's threshold or margin left the floating-point range."""
 
 
-def _finite_debt(series: np.ndarray, first_year: int) -> np.ndarray:
+def _finite_debt(series: list, first_year: int) -> list:
     """``series`` (the debt from ``first_year`` on) when all of it is finite;
     otherwise DebtNotFinite naming the first year that is not."""
-    bad = np.flatnonzero(~np.isfinite(series))
-    if bad.size:
-        year = first_year + int(bad[0])
-        raise DebtNotFinite(
-            f"debt leaves the float range in year {year} (D = {float(series[bad[0]])!r})"
-        )
+    if not all(map(math.isfinite, series)):
+        year, d = next((i, d) for i, d in enumerate(series, first_year) if not math.isfinite(d))
+        raise DebtNotFinite(f"debt leaves the float range in year {year} (D = {d!r})")
     return series
 
 
@@ -117,13 +116,13 @@ def fixed_point(params: ConsumerParams) -> FixedPoint:
     return FixedPoint(b_lambda=b)
 
 
-def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> np.ndarray:
+def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> list:
     """g_1..g_K; ScheduleTooShort names the first year an explicit one lacks."""
-    return np.array([schedule.value_at(k) for k in range(1, horizon + 1)])
+    return list(map(schedule.value_at, range(1, horizon + 1)))
 
 
 def _budget_path(consumer: ConsumerParams, b0: float,
-                 horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 horizon: int) -> tuple[list, list, list]:
     """Budget, consumption and tax bill for years 0..K (c and tau NaN in year
     0). The budget never reads the debt, so one path serves any DebtParams.
 
@@ -138,17 +137,19 @@ def _budget_path(consumer: ConsumerParams, b0: float,
         if b[-1] == b[-2] and (consumer.m is None or consumer.m < k):
             break
     rest = horizon + 1 - len(b)
-    return tuple(np.array(s + s[-1:] * rest) for s in (b, c, tau))
+    return tuple(s + s[-1:] * rest for s in (b, c, tau))
 
 
-def _debt_path(r, d0, drifts) -> list:
-    """Debt D_0..D_K from D0 and the drifts of years 1..K by `debt_step`:
-    over floats for one path, or over arrays (r, D0 and each year's drifts)
-    for one path per element, each equal bit for bit to its float path."""
-    series = [d0]
+def _debt_path(r: float, d0: float, drifts) -> list:
+    """Debt D_0..D_K from D0 and the drifts of years 1..K by `debt_step`'s
+    D_k = (1+r)*D_{k-1} + drift_k, with 1+r formed once (the same bits).
+    Raises DebtNotFinite naming the first year the debt leaves the float range."""
+    growth, d, series = 1.0 + r, d0, [d0]
     for drift in drifts:
-        series.append(debt_step(r, series[-1], drift))
-    return series
+        d = growth * d + drift
+        series.append(d)
+    # (1+r)*D + drift is inf or nan whenever D is (1+r >= 1), so the last D tells
+    return series if math.isfinite(d) else _finite_debt(series, first_year=0)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -160,13 +161,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     explicit schedule does not cover the horizon, and DebtNotFinite if the
     debt leaves the float range.
     """
-    debt = scenario.debt
-    g = _expenditure(debt.schedule, scenario.horizon)
-    b, c, tau = _budget_path(scenario.consumer, scenario.b0, scenario.horizon)
+    import numpy as np
+    g = np.array(_expenditure(scenario.debt.schedule, scenario.horizon))
+    b, c, tau = map(np.array, _budget_path(scenario.consumer, scenario.b0, scenario.horizon))
     delta = np.concatenate(([math.nan], g - tau[1:]))
-    series = np.array(_debt_path(debt.r, debt.d0, delta[1:].tolist()))
-    return Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta,
-                      debt=_finite_debt(series, first_year=0))
+    series = np.array(_debt_path(scenario.debt.r, scenario.debt.d0, delta[1:].tolist()))
+    return Trajectory(scenario, b, c, tau, delta, series)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,10 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
     T_j = 0 adds exactly 0. The growth factors come from Python's ``**``,
     as in `_thresholds`, so no digit depends on the CPU. Raises
     DebtNotFinite once the series leaves the float range."""
-    drifts, growth = list(map(float, drifts)), 1.0 + debt.r
+    import numpy as np
+    # an array's tolist() is one C call; converting its elements one by one is not
+    drifts = list(map(float, drifts.tolist() if hasattr(drifts, "tolist") else drifts))
+    growth = 1.0 + debt.r
     max_block = 256 * math.log(2.0) / math.log1p(debt.r) if debt.r else math.inf
     block = max(1, int(min(len(drifts), max_block)))
     series, start = [], debt.d0
@@ -204,7 +207,7 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
         series.extend(start + partial for partial in
                       accumulate(t * growth ** j for j, t in enumerate(steps)))
         start = series[-1]
-    return _finite_debt(np.array(series), first_year=1)
+    return np.array(_finite_debt(series, first_year=1))
 
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
@@ -231,8 +234,9 @@ def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
     alpha = gamma; raises ScheduleTooShort if an explicit schedule does not
     cover the horizon."""
     _require_simple_regime(consumer, "the fixed-point closed form")
-    drifts = _expenditure(debt.schedule, horizon) - _fixed_point_surplus(consumer)
-    return debt_closed_form_general(debt, drifts.tolist())
+    surplus = _fixed_point_surplus(consumer)
+    drifts = [g - surplus for g in _expenditure(debt.schedule, horizon)]
+    return debt_closed_form_general(debt, drifts)
 
 
 # ---------------------------------------------------------------------------
@@ -373,44 +377,33 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
         raise ValueError("sweep axis 'g0' requires a constant expenditure schedule")
     _condition_year(base.debt, k)
 
-    # Points share each expenditure series and budget path (a cache that
-    # keeps no failures) and one debt recursion, a column per point.
-    expenditure = lru_cache(maxsize=None)(_expenditure)
+    # Points share budget paths and drift series (caches that keep no failures).
     budget_path = lru_cache(maxsize=None)(_budget_path)
-    values = [float(raw) for raw in grid]
-    reports, finals, errors = [None] * len(values), [None] * len(values), [[] for _ in values]
-    columns = []  # (point, DebtParams, drifts) of each point that reaches the debt step
-    for i, value in enumerate(values):
+
+    @lru_cache(maxsize=None)
+    def drifts(schedule, consumer, b0, horizon):
+        g = _expenditure(schedule, horizon)  # a short schedule is reported first
+        return list(map(sub, g, islice(budget_path(consumer, b0, horizon)[2], 1, None)))
+
+    points = []
+    for raw in grid:
+        value, report, final_debt, errors = float(raw), None, None, []
         try:
             scenario = _with_value(base, axis, value)
         except (ModelError, ValueError) as exc:
-            errors[i].append(str(exc))
+            points.append(SweepPoint(value, None, None, str(exc)))
             continue
         try:
-            reports[i] = decrease_condition(scenario.consumer, scenario.debt, k)
+            report = decrease_condition(scenario.consumer, scenario.debt, k)
         except ModelError as exc:
-            errors[i].append(str(exc))
+            errors.append(str(exc))
         try:
-            g = expenditure(scenario.debt.schedule, scenario.horizon)
-            tau = budget_path(scenario.consumer, scenario.b0, scenario.horizon)[2]
+            final_debt = _debt_path(scenario.debt.r, scenario.debt.d0, drifts(
+                scenario.debt.schedule, scenario.consumer, scenario.b0, scenario.horizon))[-1]
         except ModelError as exc:
-            errors[i].append(str(exc))
-            continue
-        columns.append((i, scenario.debt, g - tau[1:]))
-    if columns:
-        points, debts, drifts = zip(*columns)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is found below
-            paths = np.array(_debt_path(np.array([d.r for d in debts]),
-                                        np.array([d.d0 for d in debts]),
-                                        np.array(drifts).T))
-        for i, path, ok in zip(points, paths.T, np.isfinite(paths).all(axis=0).tolist()):
-            try:
-                finals[i] = float((path if ok else _finite_debt(path, first_year=0))[-1])
-            except DebtNotFinite as exc:
-                errors[i].append(str(exc))
-    return [SweepPoint(value=value, report=report, final_debt=final_debt,
-                       error="; ".join(messages) or None)
-            for value, report, final_debt, messages in zip(values, reports, finals, errors)]
+            errors.append(str(exc))
+        points.append(SweepPoint(value, report, final_debt, "; ".join(errors) or None))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +414,7 @@ def max_rel_deviation(a, b) -> float:
     """Largest pointwise gap between two series, relative to their peak
     magnitude. Debt paths can cross zero, so pointwise |a-b|/|b| would be
     ill-defined; the peak of either series sets the scale instead."""
+    import numpy as np
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:

@@ -40,7 +40,6 @@ from dataclasses import fields
 from enum import Enum
 from io import StringIO
 
-import numpy as np
 import yaml
 
 from .analysis import FixedPointOutOfRange, fixed_point
@@ -266,7 +265,7 @@ def write_json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _series(values: np.ndarray) -> list:
+def _series(values) -> list:
     return [None if math.isnan(v) else v for v in values.tolist()]
 
 
@@ -298,6 +297,7 @@ def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
 def read_trajectory(document: str) -> Trajectory:
     """Parse a JSON trajectory written by `write_trajectory`: ``k`` must be
     0..K and every series must have K + 1 entries, K being run.horizon."""
+    import numpy as np
     try:
         doc = json.loads(document)
     except ValueError as exc:  # a JSONDecodeError, or a value JSON cannot build
@@ -311,7 +311,7 @@ def read_trajectory(document: str) -> Trajectory:
             or any(type(year) is not int for year in k):
         _fail("trajectory.k", f"must be the years 0..{scenario.horizon} of run.horizon")
 
-    def array(key: str) -> np.ndarray:
+    def array(key: str):
         raw = _get(doc, key, f"trajectory.{key}")
         if not isinstance(raw, list):
             _fail(f"trajectory.{key}", "must be a list")
@@ -319,7 +319,7 @@ def read_trajectory(document: str) -> Trajectory:
             _fail("trajectory.series", f"{key} has {len(raw)} entries, "
                                        f"run.horizon = {scenario.horizon} needs {years}")
         try:
-            return np.array([np.nan if v is None else _number(v, key, i)
+            return np.array([math.nan if v is None else _number(v, key, i)
                              for i, v in enumerate(raw)], dtype=float)
         except FieldError as exc:
             raise _restate(exc, "trajectory") from exc

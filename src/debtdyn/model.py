@@ -15,10 +15,12 @@ safe to use concurrently without any locking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FieldError",
@@ -81,13 +83,16 @@ def _check(condition: bool, field: str, rule: str, value) -> None:
         raise FieldError(field, f"{rule}, got {value!r}")
 
 
-_NUMBERS = (int, float, np.integer)  # numpy float64 is a float
+def _numpy_type(name: str):
+    """numpy's type ``name``; () while numpy is not loaded, when no value can be one."""
+    return getattr(sys.modules.get("numpy"), name, ())
 
 
 def _number(value, name: str, index: int | None = None) -> float:
-    """``value`` as a finite float; a bool is not a number. ``index`` names
-    an element of the field ``name``."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+    """``value`` as a finite float; a bool is not a number (numpy's float64
+    is a float). ``index`` names an element of the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            and not isinstance(value, _numpy_type("integer")):
         problem = f"must be a number, got {value!r}"
     else:
         try:
@@ -220,7 +225,7 @@ class ExplicitSchedule:
 
     def __post_init__(self):
         values = self.values
-        if isinstance(values, np.ndarray):
+        if isinstance(values, _numpy_type("ndarray")):
             values = values.tolist()
         if not isinstance(values, (list, tuple)) or not values:
             raise FieldError("values", "must be a nonempty list of numbers")
@@ -306,6 +311,7 @@ class Trajectory:
     @property
     def years(self) -> np.ndarray:
         """Year index per entry, 0..K (0 is the initial-conditions row)."""
+        import numpy as np
         return np.arange(len(self.b))
 
 
@@ -379,5 +385,5 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
 
 def debt_step(r, d_prev, drift):
     """One year of debt evolution at rate r: interest accrual plus the
-    year's drift. Floats or numpy arrays (one debt per element)."""
+    year's drift. `analysis._debt_path` runs the same rule over the years."""
     return (1.0 + r) * d_prev + drift

@@ -320,6 +320,14 @@ def test_closed_form_stays_put_where_the_drift_cancels_the_interest():
     assert np.all(debt_closed_form_general(debt, np.full(3000, -5.0)) == 1.0)
 
 
+def test_closed_form_reads_an_array_as_its_list():
+    debt = constant_debt(r=0.05)
+    drifts = np.random.default_rng(3).uniform(-50.0, 50.0, 3000)
+    for array in (drifts, np.arange(-1500, 1500)):
+        assert debt_closed_form_general(debt, array).tobytes() \
+            == debt_closed_form_general(debt, array.tolist()).tobytes()
+
+
 def test_closed_form_and_recursion_error_against_the_condition_scale():
     # Drifts -r*D0*(1 +- eps), eps <= 1e-9, nearly cancel the interest, so the
     # problem's condition number is (1+r)**K and no formula keeps a small
@@ -619,6 +627,7 @@ def reference_budget_path(consumer, b0, horizon):
 
 def assert_bitwise_equal_paths(got, want):
     for series, expected in zip(got, want):
+        series = np.array(series)  # `_budget_path` returns lists; floats give float64
         assert series.dtype == expected.dtype
         assert series.tobytes() == expected.tobytes()
 
@@ -825,6 +834,14 @@ def assert_sweep_matches_simulate(base, axis, grid, k):
         assert point.error == error
         assert point.report == report
     return points
+
+
+def test_sweep_names_the_overflow_year_in_either_direction(baseline_scenario):
+    # the tax bill drives the debt to -inf from D0 = 0 and interest to +inf from D0 = 100
+    base = replace(baseline_scenario, horizon=2000, debt=constant_debt(r=0.9, g0=0.0))
+    low, high = assert_sweep_matches_simulate(base, "D0", [0.0, 100.0], k=None)
+    assert "(D = -inf)" in low.error and "(D = inf)" in high.error
+    assert low.final_debt is None and high.final_debt is None
 
 
 # a consumer whose very first budget step leaves the float range

@@ -1,0 +1,45 @@
+"""numpy is imported only by what returns arrays: `simulate`, the closed
+forms, `read_trajectory`, `max_rel_deviation` and `Trajectory.years`. Each
+case runs in a fresh interpreter and reports whether numpy got loaded."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+BASELINE = "scenarios/baseline.yaml"
+RUN_CLI = "import contextlib, io\nfrom debtdyn.cli import main\n" \
+          "with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+
+
+def numpy_loaded_after(code: str) -> bool:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    script = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("code", [
+    "import debtdyn",
+    "import debtdyn.cli",
+    RUN_CLI.format(argv=["condition", BASELINE]),
+    RUN_CLI.format(argv=["fixed-point", BASELINE]),
+    RUN_CLI.format(argv=["sweep", BASELINE, "--axis", "r", "--grid", "0:0.2:5"]),
+], ids=["import debtdyn", "import debtdyn.cli", "condition", "fixed-point", "sweep"])
+def test_scalar_commands_never_load_numpy(code):
+    assert not numpy_loaded_after(code)
+
+
+def test_simulate_loads_numpy_and_returns_arrays():
+    assert numpy_loaded_after(
+        "import sys, debtdyn\n"
+        f"traj = debtdyn.simulate(debtdyn.load_scenario(open({BASELINE!r}).read()))\n"
+        "assert all(isinstance(s, sys.modules['numpy'].ndarray)\n"
+        "           for s in (traj.b, traj.c, traj.tau, traj.delta, traj.debt))\n")
