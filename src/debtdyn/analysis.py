@@ -13,8 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, islice, tee
+from functools import lru_cache, partial
+from itertools import accumulate, tee
 from operator import sub
 from typing import TYPE_CHECKING
 
@@ -152,6 +152,13 @@ def _debt_path(r: float, d0: float, drifts) -> list:
     return series if math.isfinite(d) else _finite_debt(series, first_year=0)
 
 
+def _drifts(schedule, consumer, b0, horizon, budget_path=_budget_path) -> tuple:
+    """The budget path of years 0..K and the drifts g_k - tau_k of years 1..K."""
+    g = _expenditure(schedule, horizon)  # before any solve: a short schedule is reported first
+    path = budget_path(consumer, b0, horizon)
+    return path, list(map(sub, g, path[2][1:]))
+
+
 def simulate(scenario: Scenario) -> Trajectory:
     """Run the coupled budget/debt recursion over the full horizon.
 
@@ -161,12 +168,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     explicit schedule does not cover the horizon, and DebtNotFinite if the
     debt leaves the float range.
     """
-    import numpy as np
-    g = np.array(_expenditure(scenario.debt.schedule, scenario.horizon))
-    b, c, tau = map(np.array, _budget_path(scenario.consumer, scenario.b0, scenario.horizon))
-    delta = np.concatenate(([math.nan], g - tau[1:]))
-    series = np.array(_debt_path(scenario.debt.r, scenario.debt.d0, delta[1:].tolist()))
-    return Trajectory(scenario, b, c, tau, delta, series)
+    (b, c, tau), drifts = _drifts(scenario.debt.schedule, scenario.consumer,
+                                  scenario.b0, scenario.horizon)
+    debt = _debt_path(scenario.debt.r, scenario.debt.d0, drifts)
+    return Trajectory(scenario, b, c, tau, [math.nan, *drifts], debt)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +384,7 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
 
     # Points share budget paths and drift series (caches that keep no failures).
     budget_path = lru_cache(maxsize=None)(_budget_path)
-
-    @lru_cache(maxsize=None)
-    def drifts(schedule, consumer, b0, horizon):
-        g = _expenditure(schedule, horizon)  # a short schedule is reported first
-        return list(map(sub, g, islice(budget_path(consumer, b0, horizon)[2], 1, None)))
+    drifts = lru_cache(maxsize=None)(partial(_drifts, budget_path=budget_path))
 
     points = []
     for raw in grid:
@@ -399,7 +400,7 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
             errors.append(str(exc))
         try:
             final_debt = _debt_path(scenario.debt.r, scenario.debt.d0, drifts(
-                scenario.debt.schedule, scenario.consumer, scenario.b0, scenario.horizon))[-1]
+                scenario.debt.schedule, scenario.consumer, scenario.b0, scenario.horizon)[1])[-1]
         except ModelError as exc:
             errors.append(str(exc))
         points.append(SweepPoint(value, report, final_debt, "; ".join(errors) or None))

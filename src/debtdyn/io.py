@@ -297,7 +297,6 @@ def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
 def read_trajectory(document: str) -> Trajectory:
     """Parse a JSON trajectory written by `write_trajectory`: ``k`` must be
     0..K and every series must have K + 1 entries, K being run.horizon."""
-    import numpy as np
     try:
         doc = json.loads(document)
     except ValueError as exc:  # a JSONDecodeError, or a value JSON cannot build
@@ -311,7 +310,7 @@ def read_trajectory(document: str) -> Trajectory:
             or any(type(year) is not int for year in k):
         _fail("trajectory.k", f"must be the years 0..{scenario.horizon} of run.horizon")
 
-    def array(key: str):
+    def series(key: str) -> list:
         raw = _get(doc, key, f"trajectory.{key}")
         if not isinstance(raw, list):
             _fail(f"trajectory.{key}", "must be a list")
@@ -319,10 +318,9 @@ def read_trajectory(document: str) -> Trajectory:
             _fail("trajectory.series", f"{key} has {len(raw)} entries, "
                                        f"run.horizon = {scenario.horizon} needs {years}")
         try:
-            return np.array([math.nan if v is None else _number(v, key, i)
-                             for i, v in enumerate(raw)], dtype=float)
+            return [math.nan if v is None else _number(v, key, i) for i, v in enumerate(raw)]
         except FieldError as exc:
             raise _restate(exc, "trajectory") from exc
 
-    return Trajectory(scenario=scenario, b=array("b"), c=array("c"), tau=array("tau"),
-                      delta=array("delta"), debt=array("D"))
+    return Trajectory(scenario=scenario, b=series("b"), c=series("c"), tau=series("tau"),
+                      delta=series("delta"), debt=series("D"))

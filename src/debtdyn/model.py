@@ -282,11 +282,11 @@ class Scenario:
 class Trajectory:
     """Per-year series of one simulation run.
 
-    All arrays share length K+1. Index 0 carries initial conditions
-    (``b[0] = b0``, ``debt[0] = D0``); the flow series ``c``, ``tau`` and
-    ``delta`` are undefined at index 0 and hold NaN there. The accounting
-    identity b_k - b_{k-1} = (p_a - tau_k) - c_k holds at every k >= 1 up to
-    the step solver's tolerance.
+    Each series goes in as any sequence of numbers and is stored as a float64
+    array; all share length K+1. Index 0 holds the initial conditions
+    (``b[0] = b0``, ``debt[0] = D0``) and NaN for the flows ``c``, ``tau``
+    and ``delta``. The accounting identity b_k - b_{k-1} = (p_a - tau_k) - c_k
+    holds at every k >= 1 up to the step solver's tolerance.
     """
 
     scenario: Scenario
@@ -297,8 +297,11 @@ class Trajectory:
     debt: np.ndarray
 
     def __post_init__(self):
-        lengths = {len(self.b), len(self.c), len(self.tau),
-                   len(self.delta), len(self.debt)}
+        import numpy as np
+        names = ("b", "c", "tau", "delta", "debt")
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        lengths = {len(getattr(self, name)) for name in names}
         if len(lengths) != 1:
             raise FieldError("series", f"lengths differ: {sorted(lengths)}")
         if not len(self.b):

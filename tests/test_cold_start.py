@@ -1,6 +1,7 @@
-"""numpy is imported only by what returns arrays: `simulate`, the closed
-forms, `read_trajectory`, `max_rel_deviation` and `Trajectory.years`. Each
-case runs in a fresh interpreter and reports whether numpy got loaded."""
+"""numpy is imported only by what returns arrays: building a `Trajectory`
+(so `simulate` and `read_trajectory`), the closed forms, `max_rel_deviation`
+and `Trajectory.years`. Each case runs in a fresh interpreter and reports
+whether numpy got loaded."""
 
 import os
 import subprocess

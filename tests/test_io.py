@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,27 @@ def test_json_round_trip_is_exact(baseline_scenario):
         assert math.isnan(restored[0])
         assert np.array_equal(restored[1:], original[1:])
     assert back.scenario == traj.scenario
+    assert write_trajectory(back, format="json") == text
+
+
+# A flow is NaN in year 0, so only a float series holds one: int stocks get float flows.
+@pytest.mark.parametrize("stock,flow", [(list, list),
+                                        (lambda v: np.array(v, dtype=np.int64), np.array),
+                                        (lambda v: np.array(v, dtype=float), np.array)],
+                         ids=["lists", "int arrays", "float arrays"])
+def test_a_trajectory_from_any_number_sequence_writes_and_round_trips(baseline_scenario,
+                                                                      stock, flow):
+    flows = flow([math.nan, 5.0])
+    traj = Trajectory(scenario=replace(baseline_scenario, horizon=1), b=stock([18, 19]),
+                      c=flows, tau=flows, delta=flows, debt=stock([100, 105]))
+    assert write_trajectory(traj, format="csv") == \
+        "k,b,c,tau,delta,D\n0,18,,,,100\n1,19,5,5,5,105\n"
+    text = write_trajectory(traj, format="json")
+    assert '"b": [\n    18.0,\n    19.0\n  ]' in text  # floats, as read_trajectory returns
+    back = read_trajectory(text)
+    for series in (traj.b, traj.c, traj.tau, traj.delta, traj.debt,
+                   back.b, back.c, back.tau, back.delta, back.debt):
+        assert isinstance(series, np.ndarray) and series.dtype == np.float64
     assert write_trajectory(back, format="json") == text
 
 

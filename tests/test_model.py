@@ -361,5 +361,5 @@ def test_trajectory_series_must_share_a_nonempty_length(lengths, problem):
 
 
 def test_debt_params_allow_zero_rate():
-    # the recursion is defined at r = 0; only closed forms reject it
+    # the recursion and the closed forms are both defined at r = 0
     assert DebtParams(r=0.0, d0=0.0, schedule=ConstantSchedule(g0=1.0)).r == 0.0
