@@ -28,6 +28,7 @@ from .model import (
     ModelError,
     Scenario,
     Trajectory,
+    _floats,
     consumer_step,
     tax,
 )
@@ -118,6 +119,8 @@ def fixed_point(params: ConsumerParams) -> FixedPoint:
 
 def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> list:
     """g_1..g_K; ScheduleTooShort names the first year an explicit one lacks."""
+    if isinstance(schedule, ConstantSchedule):
+        return [schedule.g0] * horizon
     return list(map(schedule.value_at, range(1, horizon + 1)))
 
 
@@ -192,17 +195,8 @@ def _thresholds(x, r: float, d0: float):
                       initial=first + r * d0)
 
 
-def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
-    """Debt D_1..D_K from any drifts at any r >= 0: D_k = D0 + sum_{j<=k}
-    (1+r)**(j-1) * T_j, the running sum of the `_thresholds` increments. It
-    restarts from the last value every B years, B as large as keeps (1+r)**B
-    below 2**256 (one block at r = 0), so no growth factor overflows and
-    T_j = 0 adds exactly 0. The growth factors come from Python's ``**``,
-    as in `_thresholds`, so no digit depends on the CPU. Raises
-    DebtNotFinite once the series leaves the float range."""
-    import numpy as np
-    # an array's tolist() is one C call; converting its elements one by one is not
-    drifts = list(map(float, drifts.tolist() if hasattr(drifts, "tolist") else drifts))
+def _debt_closed_form_general(debt: DebtParams, drifts) -> list:
+    """`debt_closed_form_general` as a list, from a sequence of float drifts."""
     growth = 1.0 + debt.r
     max_block = 256 * math.log(2.0) / math.log1p(debt.r) if debt.r else math.inf
     block = max(1, int(min(len(drifts), max_block)))
@@ -212,7 +206,19 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
         series.extend(start + partial for partial in
                       accumulate(t * growth ** j for j, t in enumerate(steps)))
         start = series[-1]
-    return np.array(_finite_debt(series, first_year=1))
+    return _finite_debt(series, first_year=1)
+
+
+def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
+    """Debt D_1..D_K from any drifts at any r >= 0: D_k = D0 + sum_{j<=k}
+    (1+r)**(j-1) * T_j, the running sum of the `_thresholds` increments. It
+    restarts from the last value every B years, B as large as keeps (1+r)**B
+    below 2**256 (one block at r = 0), so no growth factor overflows and
+    T_j = 0 adds exactly 0. The growth factors come from Python's ``**``,
+    as in `_thresholds`, so no digit depends on the CPU. Raises
+    DebtNotFinite once the series leaves the float range."""
+    import numpy as np
+    return np.array(_debt_closed_form_general(debt, _floats(drifts, "drifts")))
 
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
@@ -230,6 +236,14 @@ def _fixed_point_surplus(consumer: ConsumerParams) -> float:
     return 2.0 * consumer.alpha / (1.0 + consumer.alpha) * consumer.p_a
 
 
+def _debt_closed_form(debt: DebtParams, consumer: ConsumerParams, horizon: int) -> list:
+    """`debt_closed_form` as a list."""
+    _require_simple_regime(consumer, "the fixed-point closed form")
+    surplus = _fixed_point_surplus(consumer)
+    drifts = [g - surplus for g in _expenditure(debt.schedule, horizon)]
+    return _debt_closed_form_general(debt, drifts)
+
+
 def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
                      horizon: int) -> np.ndarray:
     """Debt D_1..D_K with the budget pinned at its fixed point, which is
@@ -238,10 +252,8 @@ def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
     2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r. Requires beta = 0 and
     alpha = gamma; raises ScheduleTooShort if an explicit schedule does not
     cover the horizon."""
-    _require_simple_regime(consumer, "the fixed-point closed form")
-    surplus = _fixed_point_surplus(consumer)
-    drifts = [g - surplus for g in _expenditure(debt.schedule, horizon)]
-    return debt_closed_form_general(debt, drifts)
+    import numpy as np
+    return np.array(_debt_closed_form(debt, consumer, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +426,13 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
 def max_rel_deviation(a, b) -> float:
     """Largest pointwise gap between two series, relative to their peak
     magnitude. Debt paths can cross zero, so pointwise |a-b|/|b| would be
-    ill-defined; the peak of either series sets the scale instead."""
-    import numpy as np
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"series shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - b)) / scale)
+    ill-defined; the peak of either series sets the scale instead. NaN when
+    either series holds a NaN or an infinity."""
+    a, b = _floats(a, "a"), _floats(b, "b")
+    if len(a) != len(b):
+        raise ValueError(f"series lengths differ: {len(a)} vs {len(b)}")
+    gaps = list(map(abs, map(sub, a, b)))
+    if any(map(math.isnan, gaps)):  # Python's max would skip a NaN that is not first
+        return math.nan
+    scale = max(map(abs, a + b), default=0.0)
+    return max(gaps) / scale if scale else 0.0

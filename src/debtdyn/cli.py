@@ -54,9 +54,9 @@ def cmd_simulate(scenario, args) -> str:
 
 
 def cmd_closed_form(scenario, args) -> str:
-    recursive = analysis.simulate(scenario).debt.tolist()
-    closed = [scenario.debt.d0] + analysis.debt_closed_form(
-        scenario.debt, scenario.consumer, scenario.horizon).tolist()
+    recursive = analysis.simulate(scenario).series["debt"]
+    closed = [scenario.debt.d0, *analysis._debt_closed_form(
+        scenario.debt, scenario.consumer, scenario.horizon)]
     deviation = analysis.max_rel_deviation(recursive[1:], closed[1:])
     years = range(scenario.horizon + 1)
     if args.format == "json":

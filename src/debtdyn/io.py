@@ -266,7 +266,7 @@ def write_json(doc) -> str:
 
 
 def _series(values) -> list:
-    return [None if math.isnan(v) else v for v in values.tolist()]
+    return [None if math.isnan(v) else v for v in values]
 
 
 def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
@@ -277,19 +277,20 @@ def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
     JSON carries the same series (full precision, NaN as null) plus an echo
     of the scenario, and round-trips exactly through `read_trajectory`.
     """
+    s = traj.series
     if format == "csv":
-        series = (traj.b, traj.c, traj.tau, traj.delta, traj.debt)
         return write_table(["k", "b", "c", "tau", "delta", "D"],
-                           zip(range(traj.horizon + 1), *(v.tolist() for v in series)))
+                           zip(range(traj.horizon + 1),
+                               s["b"], s["c"], s["tau"], s["delta"], s["debt"]))
     if format == "json":
         return write_json({
             "scenario": scenario_to_dict(traj.scenario),
             "k": list(range(traj.horizon + 1)),
-            "b": _series(traj.b),
-            "c": _series(traj.c),
-            "tau": _series(traj.tau),
-            "delta": _series(traj.delta),
-            "D": _series(traj.debt),
+            "b": _series(s["b"]),
+            "c": _series(s["c"]),
+            "tau": _series(s["tau"]),
+            "delta": _series(s["delta"]),
+            "D": _series(s["debt"]),
         })
     raise ValueError(f"unknown trajectory format {format!r}; use 'csv' or 'json'")
 

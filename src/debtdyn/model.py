@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -278,44 +280,68 @@ class Scenario:
                self.horizon)
 
 
-@dataclass(frozen=True, eq=False)
+def _floats(values, name: str) -> tuple:
+    """Any sequence of numbers as a tuple of floats (an array converts through
+    one ``tolist()`` call); a str or bytes is not a sequence of numbers."""
+    if isinstance(values, (str, bytes)):
+        raise FieldError(name, f"must be a sequence of numbers, got {type(values).__name__}")
+    return tuple(map(float, values.tolist() if isinstance(values, _numpy_type("ndarray"))
+                     else values))
+
+
+def _array(name: str) -> cached_property:
+    """`Trajectory` series ``name`` as a read-only float64 array, built on first read."""
+    def build(traj: Trajectory) -> np.ndarray:
+        import numpy as np
+        series = traj.series[name]
+        array = np.fromiter(series, float, len(series))  # about twice np.array's pace on a tuple
+        array.flags.writeable = False  # what every reader sees stays the stored floats
+        return array
+    return cached_property(build)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
     """Per-year series of one simulation run.
 
-    Each series goes in as any sequence of numbers and is stored as a float64
-    array; all share length K+1. Index 0 holds the initial conditions
-    (``b[0] = b0``, ``debt[0] = D0``) and NaN for the flows ``c``, ``tau``
-    and ``delta``. The accounting identity b_k - b_{k-1} = (p_a - tau_k) - c_k
-    holds at every k >= 1 up to the step solver's tolerance.
+    Each of ``b``, ``c``, ``tau``, ``delta`` and ``debt`` goes in as any
+    sequence of numbers and is kept once, as a tuple of floats in the
+    read-only mapping ``series``; all share length K+1. The attribute of the
+    same name is a read-only float64 array of it, built on first read, so
+    writing a trajectory never loads numpy. Index 0 holds the initial
+    conditions (``b[0] = b0``, ``debt[0] = D0``) and NaN for the flows ``c``,
+    ``tau`` and ``delta``. The accounting identity b_k - b_{k-1} =
+    (p_a - tau_k) - c_k holds at every k >= 1 up to the step solver's tolerance.
     """
 
     scenario: Scenario
-    b: np.ndarray
-    c: np.ndarray
-    tau: np.ndarray
-    delta: np.ndarray
-    debt: np.ndarray
+    series: MappingProxyType
 
-    def __post_init__(self):
-        import numpy as np
-        names = ("b", "c", "tau", "delta", "debt")
-        for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        lengths = {len(getattr(self, name)) for name in names}
+    def __init__(self, scenario: Scenario, b, c, tau, delta, debt):
+        series = {name: _floats(values, name) for name, values in
+                  zip(("b", "c", "tau", "delta", "debt"), (b, c, tau, delta, debt))}
+        lengths = set(map(len, series.values()))
         if len(lengths) != 1:
             raise FieldError("series", f"lengths differ: {sorted(lengths)}")
-        if not len(self.b):
+        if not series["b"]:
             raise FieldError("series", "must include the initial year")
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "series", MappingProxyType(series))
+
+    b, c, tau, delta, debt = map(_array, ("b", "c", "tau", "delta", "debt"))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its series do
+        return Trajectory, (self.scenario, *self.series.values())
 
     @property
     def horizon(self) -> int:
-        return len(self.b) - 1
+        return len(self.series["b"]) - 1
 
     @property
     def years(self) -> np.ndarray:
         """Year index per entry, 0..K (0 is the initial-conditions row)."""
         import numpy as np
-        return np.arange(len(self.b))
+        return np.arange(self.horizon + 1)
 
 
 # ---------------------------------------------------------------------------

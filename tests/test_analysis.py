@@ -1,6 +1,8 @@
 """Tests for fixed points, closed forms, decrease conditions, and sweeps."""
 
 import math
+import random
+import struct
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -935,3 +937,60 @@ def test_max_rel_deviation_scales_by_peak():
     assert max_rel_deviation([0.0], [0.0]) == 0.0
     with pytest.raises(ValueError):
         max_rel_deviation([1.0], [1.0, 2.0])
+
+
+def numpy_max_rel_deviation(a, b) -> float:
+    """The array formula: the largest |a - b| over the largest |a| or |b|,
+    with every NaN propagated."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(all="ignore"):
+        scale = np.maximum(np.max(np.abs(a)), np.max(np.abs(b)))
+        return 0.0 if scale == 0.0 else float(np.max(np.abs(a - b)) / scale)
+
+
+def random_series(rng, length: int) -> list:
+    """Finite floats over the whole range: ordinary, huge (so a gap can
+    overflow to inf), subnormal, and signed zeros."""
+    draws = (lambda: rng.uniform(-1e3, 1e3), lambda: rng.uniform(-1.0, 1.0) * 1.7e308,
+             lambda: rng.uniform(-1.0, 1.0) * 5e-324 * 2 ** 20, lambda: rng.choice((0.0, -0.0)))
+    return [rng.choice(draws)() for _ in range(length)]
+
+
+def test_max_rel_deviation_matches_the_array_formula_bit_for_bit():
+    rng = random.Random(14)
+    for _ in range(1500):
+        length = rng.randint(1, 12)
+        a, b = random_series(rng, length), random_series(rng, length)
+        if rng.random() < 0.3:  # nearby series, as a closed form and a recursion are
+            b = [x * (1.0 + rng.uniform(-1e-12, 1e-12)) for x in a]
+        got, want = max_rel_deviation(a, b), numpy_max_rel_deviation(a, b)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (a, b)
+        assert max_rel_deviation(np.array(a), np.array(b)) == got
+    assert max_rel_deviation([1.7e308], [-1.7e308]) == math.inf  # the gap overflows
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("pair", [(NAN, None), (None, NAN), (NAN, NAN), (INF, INF),
+                                  (-INF, -INF), (INF, None), (None, -INF)],
+                         ids=["nan in a", "nan in b", "nan in both", "inf - inf",
+                              "-inf - -inf", "inf in a", "-inf in b"])
+def test_max_rel_deviation_is_nan_wherever_a_nan_or_an_infinity_sits(pair):
+    rng = random.Random(repr(pair))
+    for _ in range(200):
+        length = rng.randint(1, 8)
+        a, b = random_series(rng, length), random_series(rng, length)
+        if rng.random() < 0.3:  # an all-zero side: the other one alone sets the scale
+            a, b = rng.choice(((a, [0.0] * length), ([0.0] * length, b)))
+        i = rng.randrange(length)
+        for series, value in zip((a, b), pair):
+            if value is not None:
+                series[i] = value
+        assert math.isnan(max_rel_deviation(a, b)), (a, b)
+        assert math.isnan(numpy_max_rel_deviation(a, b)), (a, b)
+
+
+def test_max_rel_deviation_rejects_series_of_unequal_length():
+    with pytest.raises(ValueError, match="series lengths differ: 2 vs 3"):
+        max_rel_deviation([1.0, 2.0], np.array([1.0, 2.0, 3.0]))

@@ -1,6 +1,6 @@
-"""numpy is imported only by what returns arrays: building a `Trajectory`
-(so `simulate` and `read_trajectory`), the closed forms, `max_rel_deviation`
-and `Trajectory.years`. Each case runs in a fresh interpreter and reports
+"""numpy is imported only by what returns arrays: the public closed forms,
+`Trajectory.years` and the first read of a trajectory's array attributes
+(``traj.b`` and the like). Each case runs in a fresh interpreter and reports
 whether numpy got loaded."""
 
 import os
@@ -35,6 +35,21 @@ def numpy_loaded_after(code: str) -> bool:
     RUN_CLI.format(argv=["sweep", BASELINE, "--axis", "r", "--grid", "0:0.2:5"]),
 ], ids=["import debtdyn", "import debtdyn.cli", "condition", "fixed-point", "sweep"])
 def test_scalar_commands_never_load_numpy(code):
+    assert not numpy_loaded_after(code)
+
+
+@pytest.mark.parametrize("code", [
+    RUN_CLI.format(argv=["simulate", BASELINE]),
+    RUN_CLI.format(argv=["simulate", BASELINE, "--format", "json"]),
+    RUN_CLI.format(argv=["closed-form", BASELINE]),
+    RUN_CLI.format(argv=["closed-form", BASELINE, "--format", "json"]),
+    "import debtdyn\n"
+    f"traj = debtdyn.simulate(debtdyn.load_scenario(open({BASELINE!r}).read()))\n"
+    "text = debtdyn.write_trajectory(traj, format='json')\n"
+    "assert debtdyn.write_trajectory(debtdyn.read_trajectory(text), format='json') == text\n",
+], ids=["simulate csv", "simulate json", "closed-form csv", "closed-form json",
+        "trajectory round trip"])
+def test_trajectory_commands_never_load_numpy(code):
     assert not numpy_loaded_after(code)
 
 

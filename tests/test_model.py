@@ -1,5 +1,7 @@
 """Unit tests for the single-step dynamics and the domain types."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -358,6 +360,35 @@ def test_trajectory_series_must_share_a_nonempty_length(lengths, problem):
     with pytest.raises(FieldError) as excinfo:
         Trajectory(scenario=scenario, b=b, c=c, tau=tau, delta=delta, debt=debt)
     assert (excinfo.value.field, excinfo.value.problem) == ("series", problem)
+
+
+@pytest.mark.parametrize("text", ["12", b"12"], ids=["str", "bytes"])
+def test_a_trajectory_series_given_as_text_is_rejected(baseline_scenario, text):
+    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50
+    flows = [float("nan"), 5.0]
+    with pytest.raises(FieldError) as excinfo:
+        Trajectory(scenario=baseline_scenario, b=text, c=flows, tau=flows, delta=flows,
+                   debt=[100.0, 105.0])
+    assert excinfo.value.field == "b"
+    assert excinfo.value.problem == f"must be a sequence of numbers, got {type(text).__name__}"
+
+
+def test_a_trajectory_s_arrays_are_read_only_and_built_once(baseline_scenario):
+    traj = simulate(baseline_scenario)
+    for name in ("b", "c", "tau", "delta", "debt"):
+        array = getattr(traj, name)
+        assert array is getattr(traj, name) and array.dtype == np.float64
+        np.testing.assert_array_equal(array, traj.series[name])
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0.0
+    assert traj.series["b"][1] != 0.0
+
+
+def test_a_trajectory_survives_pickling(baseline_scenario):
+    traj = simulate(baseline_scenario)
+    back = pickle.loads(pickle.dumps(traj))
+    assert back.scenario == traj.scenario
+    assert back.series["b"] == traj.series["b"] and np.array_equal(back.debt, traj.debt)
 
 
 def test_debt_params_allow_zero_rate():
