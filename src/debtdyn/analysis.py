@@ -1,15 +1,15 @@
 """Fixed points, closed-form debt solutions, decrease conditions, and sweeps.
 
-The closed forms and the decrease condition are stated for the simplified
-tax regime (no wealth levy, equal income and consumption tax rates) with the
-consumer budget sitting at its fixed point; they take no initial budget on
-purpose. The recursion (`simulate`) is the general path and has none of
-those restrictions.
+The closed forms and the decrease condition are stated for a consumer with
+no wealth levy scheduled, whose budget sits at its fixed point; they take no
+initial budget on purpose. The recursion (`simulate`) is the general path
+and has none of those restrictions.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,6 +29,7 @@ from .model import (
     Scenario,
     Trajectory,
     _floats,
+    _integer,
     consumer_step,
     tax,
 )
@@ -37,10 +38,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "AlphaIsZero",
     "ConditionNotFinite",
     "DebtNotFinite",
     "FixedPointOutOfRange",
+    "HorizonOutOfRange",
     "RegimeError",
     "FixedPoint",
     "ConditionRegime",
@@ -57,12 +58,8 @@ __all__ = [
 ]
 
 
-class AlphaIsZero(ModelError):
-    """The decrease condition degenerates at alpha = 0 (no income-tax inflow)."""
-
-
 class RegimeError(ModelError):
-    """Operation restricted to the simplified tax regime (beta = 0, alpha = gamma)."""
+    """Operation that requires no wealth levy scheduled (beta = 0 or m None)."""
 
 
 class FixedPointOutOfRange(ModelError):
@@ -71,6 +68,10 @@ class FixedPointOutOfRange(ModelError):
 
 class DebtNotFinite(ModelError):
     """A debt series left the floating-point range."""
+
+
+class HorizonOutOfRange(ModelError):
+    """A horizon too long for a list of its years."""
 
 
 class ConditionNotFinite(ModelError):
@@ -119,6 +120,8 @@ def fixed_point(params: ConsumerParams) -> FixedPoint:
 
 def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> list:
     """g_1..g_K; ScheduleTooShort names the first year an explicit one lacks."""
+    if horizon > sys.maxsize:
+        raise HorizonOutOfRange(f"horizon {horizon} has more years than a list can hold")
     if isinstance(schedule, ConstantSchedule):
         return [schedule.g0] * horizon
     return list(map(schedule.value_at, range(1, horizon + 1)))
@@ -222,18 +225,15 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
 
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
-    if consumer.beta != 0.0:
+    if consumer.beta != 0.0 and consumer.m is not None:
         raise RegimeError(f"{what} requires beta = 0, got beta = {consumer.beta:g}")
-    if consumer.alpha != consumer.gamma:
-        raise RegimeError(
-            f"{what} requires alpha = gamma, got alpha = {consumer.alpha:g}, "
-            f"gamma = {consumer.gamma:g}"
-        )
 
 
 def _fixed_point_surplus(consumer: ConsumerParams) -> float:
-    # Fixed-point tax intake 2*alpha*p_a/(1+alpha); the factor below 1 cannot overflow.
-    return 2.0 * consumer.alpha / (1.0 + consumer.alpha) * consumer.p_a
+    # Fixed-point tax intake alpha*p_a + gamma*c, c = (1-alpha)*p_a/(1+gamma) at
+    # b_lambda; the factor below 1 cannot overflow. At alpha = gamma it is the
+    # paper's 2*alpha*p_a/(1+alpha) bit for bit (alpha + alpha == 2.0 * alpha).
+    return (consumer.alpha + consumer.gamma) / (1.0 + consumer.gamma) * consumer.p_a
 
 
 def _debt_closed_form(debt: DebtParams, consumer: ConsumerParams, horizon: int) -> list:
@@ -247,10 +247,10 @@ def _debt_closed_form(debt: DebtParams, consumer: ConsumerParams, horizon: int) 
 def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
                      horizon: int) -> np.ndarray:
     """Debt D_1..D_K with the budget pinned at its fixed point, which is
-    `debt_closed_form_general` with the drift g_k - 2*alpha*p_a/(1+alpha);
-    for a constant schedule, the paper's (1+r)**k * D0 + (g0 -
-    2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r. Requires beta = 0 and
-    alpha = gamma; raises ScheduleTooShort if an explicit schedule does not
+    `debt_closed_form_general` with the drift g_k - (alpha+gamma)*p_a/(1+gamma);
+    for a constant schedule and alpha = gamma, the paper's (1+r)**k * D0 +
+    (g0 - 2*alpha*p_a/(1+alpha)) * ((1+r)**k - 1)/r. Requires beta = 0 or no
+    levy year m; raises ScheduleTooShort if an explicit schedule does not
     cover the horizon."""
     import numpy as np
     return np.array(_debt_closed_form(debt, consumer, horizon))
@@ -270,8 +270,8 @@ class ConditionRegime(str, Enum):
 class ConditionReport:
     """Verdict on whether the public debt decreases year over year.
 
-    ``lhs`` is the fixed-point tax intake 2*alpha*p_a/(1+alpha); ``rhs`` is
-    the expenditure-plus-interest threshold it must strictly exceed. For the
+    ``lhs`` is the fixed-point tax intake (alpha+gamma)*p_a/(1+gamma);
+    ``rhs`` is the expenditure-plus-interest threshold it must strictly exceed. For the
     linear regime, ``rhs_limit`` is the k -> infinity value of ``rhs``
     (None when r = 0, where it diverges, and when the limit is outside the
     float range, as deltaG/r is at a tiny r; the verdict is still finite).
@@ -293,12 +293,12 @@ _REGIMES = {ConstantSchedule: ConditionRegime.CONSTANT_G,
 
 def _condition_year(debt: DebtParams, k: int | None) -> int | None:
     """None for a constant schedule, whose condition holds in every year or
-    in none; otherwise ``k``, which must be given and >= 1."""
+    in none; otherwise ``k``, which must be given, an integer and >= 1."""
     if isinstance(debt.schedule, ConstantSchedule):
         return None
     if k is None:
         raise ValueError("year k is required for a non-constant schedule")
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise ValueError(f"year k must be >= 1, got {k!r}")
     return k
 
@@ -306,22 +306,20 @@ def _condition_year(debt: DebtParams, k: int | None) -> int | None:
 def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
                        k: int | None = None) -> ConditionReport:
     """Evaluate the strict decrease condition D_k < D_{k-1} at the fixed point:
-    the tax intake 2*alpha*p_a/(1+alpha) must exceed T_k of the expenditures
-    (see `_thresholds`), since D_k - D_{k-1} = -(1+r)**(k-1) * margin_k for
-    every schedule, r >= 0 and year. A Constant schedule ignores ``k``
+    the tax intake (alpha+gamma)*p_a/(1+gamma) must exceed T_k of the
+    expenditures (see `_thresholds`), since D_k - D_{k-1} = -(1+r)**(k-1) *
+    margin_k for every schedule, r >= 0 and year. A Constant schedule ignores ``k``
     (T_k = g0 + r*D0); Linear and Explicit ones need ``k`` (>= 1), which an
     Explicit one must cover. For r > 0 the cost is bounded (about 15,600
     terms at r = 0.05, whatever k); at r = 0 it is O(k).
 
-    A missing or invalid ``k`` raises ValueError before anything else is
-    checked. Raises AlphaIsZero at alpha = 0 (the tax intake is zero, so
-    taxation can never shrink the debt), RegimeError outside beta = 0,
-    alpha = gamma, and ConditionNotFinite if rhs or margin is not finite.
+    A missing or invalid ``k`` raises ValueError (FieldError when it is not
+    an integer) before anything else is checked. Raises RegimeError when a
+    levy is scheduled (beta != 0 with a year m), and ConditionNotFinite if
+    rhs or margin is not finite.
     """
     k = _condition_year(debt, k)
     _require_simple_regime(consumer, "the decrease condition")
-    if consumer.alpha == 0.0:
-        raise AlphaIsZero("the decrease condition is degenerate at alpha = 0")
 
     lhs = _fixed_point_surplus(consumer)
     schedule = debt.schedule
@@ -369,7 +367,7 @@ class SweepPoint:
 
 def _with_value(base: Scenario, axis: str, value: float) -> Scenario:
     if axis == "alpha":
-        # Joint move keeps the scenario inside the equal-rates regime.
+        # The paper's one tax rate on income and consumption.
         return replace(base, consumer=replace(base.consumer, alpha=value, gamma=value))
     if axis == "p_a":
         return replace(base, consumer=replace(base.consumer, p_a=value))
@@ -384,9 +382,10 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
     """Evaluate the decrease condition and the simulated terminal debt for
     each grid value of one parameter, in input order.
 
-    The "alpha" axis moves alpha and gamma together (the condition requires
-    equal rates); "g0" requires the base schedule to be Constant. Like an
-    unknown axis, a missing or invalid year ``k`` raises ValueError up front.
+    The "alpha" axis moves alpha and gamma together (the paper's one tax
+    rate on income and consumption); "g0" requires the base schedule to be
+    Constant. Like an unknown axis, a missing or invalid year ``k`` raises
+    ValueError up front.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")

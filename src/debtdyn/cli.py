@@ -8,6 +8,7 @@ error), 1 on scenario/model errors, 2 on command-line misuse.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,27 +22,23 @@ _GRID_HELP = ("grid specification: 'start:stop:count' for inclusive linear "
 
 
 def parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"bad grid {spec!r}; {_GRID_HELP}")
-        try:
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad grid {spec!r}; {_GRID_HELP}")
-        if count < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
-        if count == 1:
-            return [start]
-        step = (stop - start) / (count - 1)
-        return [start + i * step for i in range(count)]
     try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+            if count < 1:
+                raise argparse.ArgumentTypeError("grid count must be >= 1")
+            step = (stop - start) / max(count - 1, 1)
+            values = [start + i * step for i in range(count)] if count > 1 else [start]
+        else:
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:  # also a spec with other than three ':' parts
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}; {_GRID_HELP}")
     if not values:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}: no values; {_GRID_HELP}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"bad grid {spec!r}: a value is not finite; "
+                                         f"{_GRID_HELP}")
     return values
 
 
@@ -126,7 +123,7 @@ _SUB.add_parser("simulate", parents=[_COMMON],
 _SUB.add_parser("closed-form", parents=[_COMMON],
                 help="closed-form debt series next to the recursion series "
                      "and their max relative deviation (assumes the budget "
-                     "starts at the fixed point; requires beta=0, alpha=gamma)"
+                     "starts at the fixed point; refuses a scheduled wealth levy)"
                 ).set_defaults(func=cmd_closed_form)
 
 _p = _SUB.add_parser("condition", parents=[_COMMON],
@@ -144,7 +141,7 @@ _p = _SUB.add_parser("sweep", parents=[_COMMON],
                      help="decrease condition + terminal simulated debt across "
                           "a one-parameter grid")
 _p.add_argument("--axis", required=True, choices=analysis.SWEEP_AXES,
-                help="parameter to sweep ('alpha' moves alpha and gamma together)")
+                help="parameter to sweep ('alpha' sets both rates: the paper's one tax rate)")
 _p.add_argument("--grid", required=True, type=parse_grid, help=_GRID_HELP)
 _p.add_argument("-k", "--year", type=int, default=None,
                 help="condition year; required for linear/explicit schedules")

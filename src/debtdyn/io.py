@@ -261,8 +261,9 @@ def write_record(fields: dict) -> str:
 
 
 def write_json(doc) -> str:
-    """Indented JSON with a final newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Indented standard JSON with a final newline; a NaN or infinity, which
+    standard JSON cannot hold, raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _series(values) -> list:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debtdyn import (
-    AlphaIsZero,
     ConditionNotFinite,
     ConditionRegime,
     ConstantSchedule,
@@ -22,6 +22,7 @@ from debtdyn import (
     DebtNotFinite,
     DebtParams,
     ExplicitSchedule,
+    FieldError,
     FixedPointOutOfRange,
     LinearSchedule,
     ModelError,
@@ -255,8 +256,8 @@ def test_fixed_point_closed_form_matches_recursion_from_b_lambda():
 def test_fixed_point_closed_form_guards():
     with pytest.raises(RegimeError):
         debt_closed_form(constant_debt(), make_consumer(beta=0.1, m=1), 1)
-    with pytest.raises(RegimeError):
-        debt_closed_form(constant_debt(), make_consumer(alpha=0.2), 1)
+    # unequal rates: the intake is (0.2 + 0.25) * 100 / 1.25 = 36, so D_1 = 105 + 30 - 36
+    assert debt_closed_form(constant_debt(), make_consumer(alpha=0.2), 1).tolist() == [99.0]
 
 
 def constant_closed_form(debt, consumer, k):
@@ -470,12 +471,13 @@ def test_condition_explicit_matches_linear_expansion():
 
 def test_condition_guards():
     cons = make_consumer()
-    with pytest.raises(AlphaIsZero):
-        decrease_condition(make_consumer(alpha=0.0, gamma=0.0), constant_debt())
+    # no tax: the intake is 0 and the margin is -(g0 + r*D0)
+    untaxed = decrease_condition(make_consumer(alpha=0.0, gamma=0.0), constant_debt())
+    assert (untaxed.lhs, untaxed.margin, untaxed.holds) == (0.0, -35.0, False)
     with pytest.raises(RegimeError):
         decrease_condition(make_consumer(beta=0.2, m=1), constant_debt())
-    with pytest.raises(RegimeError):
-        decrease_condition(make_consumer(gamma=0.3), constant_debt())
+    unequal = decrease_condition(make_consumer(gamma=0.3), constant_debt())
+    assert unequal.lhs == pytest.approx(55.0 / 1.3, rel=1e-15)
     linear = DebtParams(r=0.05, d0=0.0, schedule=LinearSchedule(g1=30.0, delta_g=1.0))
     with pytest.raises(ValueError):
         decrease_condition(cons, linear)
@@ -484,6 +486,21 @@ def test_condition_guards():
     short = DebtParams(r=0.05, d0=0.0, schedule=ExplicitSchedule(values=(30.0, 31.0)))
     with pytest.raises(ScheduleTooShort):
         decrease_condition(cons, short, k=3)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("kind", ["linear", "explicit"])
+def test_a_year_that_is_not_an_integer_is_a_field_error(kind, k):
+    schedule = (LinearSchedule(g1=30.0, delta_g=1.0) if kind == "linear"
+                else ExplicitSchedule(values=(30.0, 31.0, 33.0)))
+    debt = DebtParams(r=0.05, d0=100.0, schedule=schedule)
+    base = Scenario(consumer=make_consumer(), debt=debt, b0=18.0, horizon=3)
+    message = "^" + re.escape(f"k must be an integer, got {k!r}") + "$"
+    with pytest.raises(FieldError, match=message):
+        decrease_condition(base.consumer, debt, k)
+    with pytest.raises(FieldError, match=message):
+        sweep(base, "D0", [0.0, 1.0], k=k)
+    assert issubclass(FieldError, ValueError)
 
 
 def test_condition_outside_the_float_range_is_a_named_error():
@@ -530,6 +547,57 @@ def test_condition_matches_debt_monotonicity(alpha, r, d0, g0):
         assert np.all(diffs < 0)
     elif report.margin < -1e-9:
         assert np.all(diffs > -1e-9 * max(1.0, d0))
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """Any alpha in [0, 1) and gamma in [0, 5], no levy, any schedule kind and
+    r >= 0, with the budget started at b_lambda; and a year k of the horizon."""
+    horizon = draw(st.integers(1, 40))
+    p_a = draw(st.floats(1.0, 1e3))
+    consumer = make_consumer(alpha=draw(st.floats(0.0, 1.0, exclude_max=True)),
+                             gamma=draw(st.floats(0.0, 5.0)), p_a=p_a,
+                             a=draw(st.floats(0.01, 10.0)), n=draw(st.integers(2, 6)))
+    kind = draw(st.sampled_from(["constant", "linear", "explicit"]))
+    if kind == "constant":
+        schedule = ConstantSchedule(g0=draw(st.floats(0.0, 2.0 * p_a)))
+    elif kind == "linear":
+        schedule = LinearSchedule(g1=draw(st.floats(1.0, 2.0 * p_a)),
+                                  delta_g=draw(st.floats(-0.1 * p_a, 0.1 * p_a)))
+    else:
+        values = st.lists(st.floats(0.0, 2.0 * p_a), min_size=horizon, max_size=horizon)
+        schedule = ExplicitSchedule(values=tuple(draw(values)))
+    debt = DebtParams(r=draw(st.floats(0.0, 0.5)), d0=draw(st.floats(0.0, 10.0 * p_a)),
+                      schedule=schedule)
+    scenario = Scenario(consumer=consumer, debt=debt,
+                        b0=fixed_point(consumer).b_lambda, horizon=horizon)
+    return scenario, draw(st.integers(1, horizon))
+
+
+@settings(max_examples=200)
+@given(fixed_point_cases())
+@example((Scenario(consumer=make_consumer(alpha=0.3, gamma=0.1), debt=constant_debt(),
+                   b0=fixed_point(make_consumer(alpha=0.3, gamma=0.1)).b_lambda,
+                   horizon=200), 1))
+def test_closed_form_and_condition_match_the_recursion_at_any_rates(case):
+    scenario, k = case
+    consumer, debt = scenario.consumer, scenario.debt
+    recursion = simulate(scenario).debt
+    closed = debt_closed_form(debt, consumer, scenario.horizon)
+    report = decrease_condition(consumer, debt, k)
+    # within 1e-9 of S_j, the recursion run on absolute values (S_0 = D0):
+    # a debt that cancels to nearly 0 leaves the rounding of D0 and the drifts
+    scale = debt.d0
+    for j in range(1, scenario.horizon + 1):
+        scale = (1.0 + debt.r) * scale + abs(debt.schedule.value_at(j)) + report.lhs
+        assert abs(closed[j - 1] - recursion[j]) <= 1e-9 * scale
+    # D_k - D_{k-1} = -(1+r)**(k-1) * margin_k. The recursion also rounds at
+    # |D_{k-1}|, which a threshold at r = 0 does not see, so that joins the
+    # scale, discounted to the margin's year-1 units.
+    step = recursion[k] - recursion[k - 1]
+    rounding = abs(recursion[k - 1]) / (1.0 + debt.r) ** (k - 1)
+    if abs(report.margin) > 1e-9 * (report.lhs + abs(report.rhs) + rounding):
+        assert (step < 0) if report.holds else (step > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +848,8 @@ def test_sweep_alpha_moves_both_rates(baseline_scenario):
 
 def test_sweep_captures_per_point_errors(baseline_scenario):
     points = sweep(baseline_scenario, "alpha", [0.0, 0.25, 1.5])
-    assert points[0].report is None
-    assert "alpha" in points[0].error
-    assert points[0].final_debt is not None  # the recursion itself works at alpha = 0
+    assert points[0].report.lhs == 0.0 and points[0].error is None  # no tax, no intake
+    assert points[0].final_debt is not None
     assert points[1].error is None
     assert points[2].report is None and points[2].final_debt is None
 
@@ -906,7 +973,8 @@ def test_sweep_equals_per_point_simulate_on_failing_points(axis, horizon):
             "p_a": [100.0, 0.0, 100.0]}[axis]
     points = assert_sweep_matches_simulate(base, axis, grid, k=None)
     if axis == "alpha":
-        assert "degenerate at alpha = 0" in points[0].error
+        assert points[0].report.lhs == 0.0 and points[0].error is None
+        assert "alpha must be in [0, 1)" in points[3].error
     if axis == "r" and horizon == 2000:
         assert "float range" in points[1].error
         assert points[1].final_debt is None and points[2].final_debt is not None

@@ -104,7 +104,7 @@ def test_closed_form_csv_has_deviation_footer(baseline_path, capsys):
 
 
 def test_closed_form_rejects_wealth_tax_scenarios(tmp_path, capsys):
-    path = write_variant(tmp_path, "beta.yaml", "beta: 0.0", "beta: 0.1")
+    path = write_variant(tmp_path, "beta.yaml", "beta: 0.0", "beta: 0.1\n  m: 3")
     assert cli.main(["closed-form", path]) == 1
     err = capsys.readouterr().err
     assert "beta = 0" in err
@@ -195,18 +195,19 @@ def test_sweep_linspace_grid_and_json(baseline_path, capsys):
 
 
 def test_sweep_captured_errors_appear_in_rows(baseline_path, capsys):
-    assert cli.main(["sweep", baseline_path, "--axis", "alpha", "--grid", "0,0.25"]) == 0
+    assert cli.main(["sweep", baseline_path, "--axis", "alpha", "--grid", "1.5,0.25"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "alpha" in lines[1].split(",")[6]
     assert lines[2].endswith(",")  # no error for the valid point
 
 
 def test_sweep_csv_keeps_error_messages_verbatim(tmp_path, capsys):
-    # alpha != gamma: the condition's RegimeError message contains commas
-    path = write_variant(tmp_path, "rates.yaml", "gamma: 0.25", "gamma: 0.3")
-    assert cli.main(["sweep", path, "--axis", "g0", "--grid", "30,40"]) == 0
+    # a two-year schedule over ten years: the ScheduleTooShort message has a comma
+    path = write_variant(tmp_path, "short.yaml", "{kind: constant, g0: 30.0}",
+                         "{kind: explicit, values: [30.0, 31.0]}")
+    assert cli.main(["sweep", path, "--axis", "D0", "--grid", "30,40", "-k", "1"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-    points = sweep(load_scenario(Path(path).read_text()), "g0", [30.0, 40.0])
+    points = sweep(load_scenario(Path(path).read_text()), "D0", [30.0, 40.0], k=1)
     assert "," in points[0].error
     assert [row[6] for row in rows[1:]] == [p.error for p in points]
 
@@ -222,6 +223,9 @@ def test_sweep_bad_grid_is_cli_misuse(baseline_path):
     ("a:1:3", "bad grid 'a:1:3'; "),
     (",", "bad grid ',': no values; "),
     ("", "bad grid '': no values; "),
+    ("nan,inf", "bad grid 'nan,inf': a value is not finite; "),
+    ("nan,0.1", "bad grid 'nan,0.1': a value is not finite; "),
+    ("0:1e400:3", "bad grid '0:1e400:3': a value is not finite; "),  # 0 + 0 * inf is nan
 ])
 def test_parse_grid_rejects_a_grid_with_no_usable_values(baseline_path, capsys,
                                                          spec, problem):
@@ -251,14 +255,14 @@ def test_structural_misuse_exits_two(tmp_path, baseline_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["condition"], ["sweep", "--axis", "r", "--grid", "0,1"]])
-@pytest.mark.parametrize("rates", [{"gamma": 0.3}, {"alpha": 0.0, "gamma": 0.0}])
+@pytest.mark.parametrize("rates", [{"beta": 0.1, "m": 3}, {"beta": 0.5, "m": 1000}])
 def test_a_missing_year_is_misuse_before_any_regime_error(tmp_path, capsys, argv, rates):
     # a linear schedule with no -k, and a consumer the condition refuses
-    # (RegimeError at alpha != gamma, AlphaIsZero at alpha = 0)
+    # (RegimeError for a scheduled levy, within the horizon or past it)
     text = BASELINE.replace("schedule: {kind: constant, g0: 30.0}",
                             "schedule: {kind: linear, g1: 30.0, deltaG: 1.0}")
-    for name, value in rates.items():
-        text = text.replace(f"{name}: 0.25", f"{name}: {value}")
+    levy = "".join(f"{key}: {value}\n  " for key, value in rates.items())
+    text = text.replace("beta: 0.0\n  ", levy)
     path = tmp_path / "lin.yaml"
     path.write_text(text)
     assert cli.main([argv[0], str(path), *argv[1:]]) == 2
@@ -270,6 +274,25 @@ def test_a_missing_year_is_misuse_before_any_regime_error(tmp_path, capsys, argv
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
+
+HORIZON_ERROR = "horizon 10{29} has more years than a list can hold"
+
+
+@pytest.mark.parametrize("command", ["simulate", "closed-form"])
+def test_a_horizon_beyond_the_index_range_is_a_model_error(tmp_path, capsys, command):
+    path = write_variant(tmp_path, "long.yaml", "horizon: 10", f"horizon: {10**29}")
+    assert cli.main([command, path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {HORIZON_ERROR}\n", err)
+
+
+def test_a_sweep_over_a_horizon_beyond_the_index_range_fails_each_row(tmp_path, capsys):
+    path = write_variant(tmp_path, "long.yaml", "horizon: 10", f"horizon: {10**29}")
+    assert cli.main(["sweep", path, "--axis", "r", "--grid", "0,0.05", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["final_D"] for row in rows] == [None, None]
+    assert all(re.fullmatch(HORIZON_ERROR, row["error"]) for row in rows)
+    assert [row["holds"] for row in rows] == [True, True]  # the condition needs no horizon
 
 def test_missing_scenario_file_exits_one(capsys):
     assert cli.main(["simulate", "/nonexistent/scenario.yaml"]) == 1
@@ -476,10 +499,13 @@ GOLDEN = {
                              "--grid", "0:0.2:5"],
     "sweep_r_baseline.json": ["sweep", "scenarios/baseline.yaml", "--axis", "r",
                               "--grid", "0:0.2:5", "--format", "json"],
-    # alpha != gamma: every error cell holds a message with commas
+    # alpha != gamma: the intake (alpha+gamma)*p_a/(1+gamma)
+    "condition_unequal_rates.txt": ["condition", "tests/data/unequal_rates.yaml"],
+    "condition_unequal_rates.json": ["condition", "tests/data/unequal_rates.yaml",
+                                     "--format", "json"],
     "sweep_g0_unequal_rates.csv": ["sweep", "tests/data/unequal_rates.yaml", "--axis", "g0",
                                    "--grid", "20:40:3"],
-    # alpha = 0 and 1.5 fail; 0.25 repeats
+    # alpha = 0 has no intake; 1.5 fails; 0.25 repeats
     "sweep_alpha_baseline.json": ["sweep", "scenarios/baseline.yaml", "--axis", "alpha",
                                   "--grid", "0,0.1,0.25,0.25,0.5,0.9,1.5", "--format", "json"],
     # a levy year: one budget path per consumer, 100 repeats

@@ -408,6 +408,21 @@ def test_a_trajectory_from_any_number_sequence_writes_and_round_trips(baseline_s
     assert write_trajectory(back, format="json") == text
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_json_refuses_an_infinity_that_read_trajectory_would_refuse(baseline_scenario, value):
+    # a hand-built trajectory may hold any float; standard JSON has no infinity
+    flows = [math.nan, 5.0]
+    traj = Trajectory(scenario=replace(baseline_scenario, horizon=1), b=[18.0, 19.0],
+                      c=flows, tau=flows, delta=flows, debt=[100.0, value])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_trajectory(traj, format="json")
+    doc = json.loads(write_trajectory(simulate(replace(baseline_scenario, horizon=1)),
+                                      format="json"))
+    doc["D"][1] = value  # what the writer printed before: Infinity
+    with pytest.raises(ValidationError, match="must be finite"):
+        read_trajectory(json.dumps(doc))
+
+
 def test_json_embeds_the_scenario_echo(baseline_scenario):
     doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
     assert doc["scenario"] == scenario_to_dict(baseline_scenario)
