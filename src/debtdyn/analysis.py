@@ -271,10 +271,11 @@ class ConditionReport:
     """Verdict on whether the public debt decreases year over year.
 
     ``lhs`` is the fixed-point tax intake (alpha+gamma)*p_a/(1+gamma);
-    ``rhs`` is the expenditure-plus-interest threshold it must strictly exceed. For the
-    linear regime, ``rhs_limit`` is the k -> infinity value of ``rhs``
-    (None when r = 0, where it diverges, and when the limit is outside the
-    float range, as deltaG/r is at a tiny r; the verdict is still finite).
+    ``rhs`` is the expenditure-plus-interest threshold it must strictly
+    exceed. For the linear regime, ``rhs_limit`` is the k -> infinity value
+    of ``rhs`` (None when r = 0, where it diverges, and when the limit is
+    outside the float range, as deltaG/r is at a tiny r; the verdict is
+    still finite).
     """
 
     lhs: float
@@ -308,9 +309,9 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     """Evaluate the strict decrease condition D_k < D_{k-1} at the fixed point:
     the tax intake (alpha+gamma)*p_a/(1+gamma) must exceed T_k of the
     expenditures (see `_thresholds`), since D_k - D_{k-1} = -(1+r)**(k-1) *
-    margin_k for every schedule, r >= 0 and year. A Constant schedule ignores ``k``
-    (T_k = g0 + r*D0); Linear and Explicit ones need ``k`` (>= 1), which an
-    Explicit one must cover. For r > 0 the cost is bounded (about 15,600
+    margin_k for every schedule, r >= 0 and year. A Constant schedule
+    ignores ``k`` (T_k = g0 + r*D0); Linear and Explicit ones need ``k``
+    (>= 1), which an Explicit one must cover. For r > 0 the cost is bounded (about 15,600
     terms at r = 0.05, whatever k); at r = 0 it is O(k).
 
     A missing or invalid ``k`` raises ValueError (FieldError when it is not
