@@ -299,7 +299,8 @@ def _condition_year(debt: DebtParams, k: int | None) -> int | None:
         return None
     if k is None:
         raise ValueError("year k is required for a non-constant schedule")
-    if _integer(k, "k") < 1:
+    k = _integer(k, "k")
+    if k < 1:
         raise ValueError(f"year k must be >= 1, got {k!r}")
     return k
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import fields
 from enum import Enum
 from io import StringIO
@@ -53,6 +54,7 @@ from .model import (
     LinearSchedule,
     Scenario,
     Trajectory,
+    _SERIES,
     _number,
 )
 
@@ -105,6 +107,9 @@ def _get(doc: dict, key: str, path: str):
 
 # Model field name -> scenario-file key, for the fields whose names differ.
 _FILE_KEYS = {"d0": "D0", "delta_g": "deltaG"}
+
+# Trajectory file key of each of `_SERIES`; not in `_FILE_KEYS`, where debt is a section.
+_SERIES_KEYS = tuple({"debt": "D"}.get(name, name) for name in _SERIES)
 
 _SCHEDULE_KINDS = {
     "constant": ConstantSchedule,
@@ -179,7 +184,21 @@ def scenario_from_mapping(doc) -> Scenario:
     return _build(Scenario, run, "run", consumer=consumer, debt=debt)
 
 
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml when PyYAML has it
+    """The scenario reader: PyYAML's safe schema plus YAML 1.2's exponent floats."""
+
+
+class _PURE_LOADER(yaml.SafeLoader):
+    """`_LOADER`'s schema in pure Python, whose syntax errors quote the line."""
+
+
+# PyYAML reads YAML 1.1, where a float needs a '.' and a signed exponent, so
+# 5e-2 and 1e6 would be strings. Both readers resolve YAML 1.2's exponent form
+# (without underscores) after every other resolver. A subclass copies the
+# resolver table on its first write, so PyYAML's own loaders stay YAML 1.1.
+for _loader in (_LOADER, _PURE_LOADER):
+    _loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_scenario(document: str | bytes) -> Scenario:
@@ -191,7 +210,7 @@ def load_scenario(document: str | bytes) -> Scenario:
         try:
             doc = yaml.load(document, Loader=_LOADER)
         except yaml.YAMLError:
-            doc = yaml.safe_load(document)
+            doc = yaml.load(document, Loader=_PURE_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a value YAML cannot build
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -266,10 +285,6 @@ def write_json(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _series(values) -> list:
-    return [None if math.isnan(v) else v for v in values]
-
-
 def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
     """Serialize a trajectory.
 
@@ -278,20 +293,15 @@ def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
     JSON carries the same series (full precision, NaN as null) plus an echo
     of the scenario, and round-trips exactly through `read_trajectory`.
     """
-    s = traj.series
+    years = range(traj.horizon + 1)
     if format == "csv":
-        return write_table(["k", "b", "c", "tau", "delta", "D"],
-                           zip(range(traj.horizon + 1),
-                               s["b"], s["c"], s["tau"], s["delta"], s["debt"]))
+        return write_table(("k", *_SERIES_KEYS), zip(years, *traj.series.values()))
     if format == "json":
         return write_json({
             "scenario": scenario_to_dict(traj.scenario),
-            "k": list(range(traj.horizon + 1)),
-            "b": _series(s["b"]),
-            "c": _series(s["c"]),
-            "tau": _series(s["tau"]),
-            "delta": _series(s["delta"]),
-            "D": _series(s["debt"]),
+            "k": list(years),
+            **{key: [None if math.isnan(v) else v for v in values]
+               for key, values in zip(_SERIES_KEYS, traj.series.values())},
         })
     raise ValueError(f"unknown trajectory format {format!r}; use 'csv' or 'json'")
 
@@ -303,7 +313,7 @@ def read_trajectory(document: str) -> Trajectory:
         doc = json.loads(document)
     except ValueError as exc:  # a JSONDecodeError, or a value JSON cannot build
         raise ParseError(f"malformed trajectory document: {exc}") from exc
-    doc = _mapping(doc, "trajectory", {"scenario", "k", "b", "c", "tau", "delta", "D"})
+    doc = _mapping(doc, "trajectory", {"scenario", "k", *_SERIES_KEYS})
     scenario = scenario_from_mapping(_get(doc, "scenario", "trajectory.scenario"))
     years = scenario.horizon + 1
     k = _get(doc, "k", "trajectory.k")
@@ -312,7 +322,8 @@ def read_trajectory(document: str) -> Trajectory:
             or any(type(year) is not int for year in k):
         _fail("trajectory.k", f"must be the years 0..{scenario.horizon} of run.horizon")
 
-    def series(key: str) -> list:
+    series = []
+    for key in _SERIES_KEYS:  # in file order: the first faulty series is the one named
         raw = _get(doc, key, f"trajectory.{key}")
         if not isinstance(raw, list):
             _fail(f"trajectory.{key}", "must be a list")
@@ -320,9 +331,8 @@ def read_trajectory(document: str) -> Trajectory:
             _fail("trajectory.series", f"{key} has {len(raw)} entries, "
                                        f"run.horizon = {scenario.horizon} needs {years}")
         try:
-            return [math.nan if v is None else _number(v, key, i) for i, v in enumerate(raw)]
+            series.append([math.nan if v is None else _number(v, key, i)
+                           for i, v in enumerate(raw)])
         except FieldError as exc:
             raise _restate(exc, "trajectory") from exc
-
-    return Trajectory(scenario=scenario, b=series("b"), c=series("c"), tau=series("tau"),
-                      delta=series("delta"), debt=series("D"))
+    return Trajectory(scenario, *series)

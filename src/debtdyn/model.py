@@ -15,6 +15,7 @@ safe to use concurrently without any locking.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,10 +109,14 @@ def _number(value, name: str, index: int | None = None) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` if it is an int; a bool is not an integer."""
-    _check(isinstance(value, int) and not isinstance(value, bool), name,
-           "must be an integer", value)
-    return value
+    """``value`` as a Python int: whatever `operator.index` takes (an int or a
+    numpy integer) except a bool, which is not an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:  # numpy's bool, like any non-integer
+            pass
+    raise FieldError(name, f"must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,8 @@ class ConsumptionLaw:
     def __post_init__(self):
         object.__setattr__(self, "a", _number(self.a, "a"))
         _check(self.a > 0, "a", "must be > 0", self.a)
-        _check(_integer(self.n, "n") >= 2, "n", "must be >= 2", self.n)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        _check(self.n >= 2, "n", "must be >= 2", self.n)
 
     def consumption(self, budget: float) -> float:
         """Yearly spending at the given budget level."""
@@ -175,7 +181,8 @@ class ConsumerParams:
         _check(0 <= self.beta < 1, "beta", "must be in [0, 1)", self.beta)
         _check(self.gamma >= 0, "gamma", "must be >= 0", self.gamma)
         if self.m is not None:
-            _check(_integer(self.m, "m") >= 1, "m", "must be >= 1", self.m)
+            object.__setattr__(self, "m", _integer(self.m, "m"))
+            _check(self.m >= 1, "m", "must be >= 1", self.m)
 
     def wealth_tax_rate(self, k: int) -> float:
         """beta in the wealth-tax year, zero in every other year."""
@@ -276,8 +283,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "b0", _number(self.b0, "b0"))
         _check(self.b0 > 0, "b0", "must be > 0", self.b0)
-        _check(_integer(self.horizon, "horizon") >= 1, "horizon", "must be >= 1",
-               self.horizon)
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
+        _check(self.horizon >= 1, "horizon", "must be >= 1", self.horizon)
 
 
 def _floats(values, name: str) -> tuple:
@@ -287,6 +294,9 @@ def _floats(values, name: str) -> tuple:
         raise FieldError(name, f"must be a sequence of numbers, got {type(values).__name__}")
     return tuple(map(float, values.tolist() if isinstance(values, _numpy_type("ndarray"))
                      else values))
+
+
+_SERIES = ("b", "c", "tau", "delta", "debt")  # a trajectory's series, in file order
 
 
 def _array(name: str) -> cached_property:
@@ -318,24 +328,24 @@ class Trajectory:
     series: MappingProxyType
 
     def __init__(self, scenario: Scenario, b, c, tau, delta, debt):
-        series = {name: _floats(values, name) for name, values in
-                  zip(("b", "c", "tau", "delta", "debt"), (b, c, tau, delta, debt))}
+        series = {name: _floats(values, name)  # insertion order is the file order
+                  for name, values in zip(_SERIES, (b, c, tau, delta, debt))}
         lengths = set(map(len, series.values()))
         if len(lengths) != 1:
             raise FieldError("series", f"lengths differ: {sorted(lengths)}")
-        if not series["b"]:
+        if lengths == {0}:
             raise FieldError("series", "must include the initial year")
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "series", MappingProxyType(series))
 
-    b, c, tau, delta, debt = map(_array, ("b", "c", "tau", "delta", "debt"))
+    b, c, tau, delta, debt = map(_array, _SERIES)
 
     def __reduce__(self):  # a mappingproxy does not pickle; its series do
         return Trajectory, (self.scenario, *self.series.values())
 
     @property
     def horizon(self) -> int:
-        return len(self.series["b"]) - 1
+        return len(next(iter(self.series.values()))) - 1
 
     @property
     def years(self) -> np.ndarray:

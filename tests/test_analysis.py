@@ -1,5 +1,6 @@
 """Tests for fixed points, closed forms, decrease conditions, and sweeps."""
 
+import json
 import math
 import random
 import re
@@ -501,6 +502,22 @@ def test_a_year_that_is_not_an_integer_is_a_field_error(kind, k):
     with pytest.raises(FieldError, match=message):
         sweep(base, "D0", [0.0, 1.0], k=k)
     assert issubclass(FieldError, ValueError)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint8])
+def test_a_numpy_integer_year_is_reported_as_a_python_int(integer):
+    debt = DebtParams(r=0.05, d0=100.0, schedule=LinearSchedule(g1=30.0, delta_g=1.0))
+    report = decrease_condition(make_consumer(), debt, integer(3))
+    assert report == decrease_condition(make_consumer(), debt, 3)
+    assert type(report.k) is int
+    assert json.loads(json.dumps(vars(report)))["k"] == 3
+
+
+def test_a_numpy_bool_year_is_a_field_error():
+    debt = DebtParams(r=0.05, d0=100.0, schedule=LinearSchedule(g1=30.0, delta_g=1.0))
+    message = "^" + re.escape(f"k must be an integer, got {np.True_!r}") + "$"
+    with pytest.raises(FieldError, match=message):
+        decrease_condition(make_consumer(), debt, np.True_)
 
 
 def test_condition_outside_the_float_range_is_a_named_error():

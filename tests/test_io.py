@@ -108,6 +108,41 @@ def test_loader_agrees_with_the_pure_python_loader(path):
         assert str(excinfo.value) == f"malformed scenario document: {exc}"
 
 
+BASELINE_TEXT = (ROOT / "scenarios" / "baseline.yaml").read_text()
+# YAML 1.2 exponent floats, and what each reader must make of them
+EXPONENT_FORMS = {"5e-2": 0.05, "1e6": 1e6, "1E+3": 1e3, "15e-2": 0.15, "-.5e1": -5.0,
+                  "+1.e2": 100.0, "1e400": math.inf, "e5": "e5", "1e": "1e",
+                  "1_0e3": "1_0e3", "1e-2.0": "1e-2.0", "0.5": 0.5, "12": 12}
+
+
+def test_exponent_floats_load_like_their_decimals():
+    text = BASELINE_TEXT
+    for old, new in {"p_a: 100.0": "p_a: 1E+2", "a: 0.15": "a: 15e-2", "r: 0.05": "r: 5e-2",
+                     "D0: 100.0": "D0: 1e2", "g0: 30.0": "g0: .3e2",
+                     "b0: 18.0": "b0: 1.8e1"}.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    assert load_scenario(text) == load_scenario(BASELINE_TEXT)
+
+
+@pytest.mark.parametrize("value,message", [
+    ("e5", "must be a number, got 'e5'"),
+    ("1e", "must be a number, got '1e'"),
+    ("1e400", "must be finite, got inf"),
+])
+def test_an_exponent_form_that_is_no_finite_number_is_refused(value, message):
+    with pytest.raises(ValidationError) as excinfo:
+        load_scenario(BASELINE_TEXT.replace("r: 0.05", f"r: {value}", 1))
+    assert str(excinfo.value) == f"debt.r: {message}"
+
+
+@pytest.mark.parametrize("loader", ["_LOADER", "_PURE_LOADER"])
+def test_both_readers_resolve_the_exponent_forms_alike(loader):
+    doc = "".join(f"- {text}\n" for text in EXPONENT_FORMS)
+    assert list(map(repr, yaml.load(doc, Loader=getattr(io, loader)))) == \
+        list(map(repr, EXPONENT_FORMS.values()))
+
+
 @pytest.mark.parametrize("snippet,fragment", [
     ("run: {horizon: 10, b0: 0.0}", "run.b0"),
     ("run: {horizon: 0}", "run.horizon"),
@@ -434,6 +469,16 @@ def test_scenario_dict_round_trips_through_the_loader(data_dir):
     import yaml
     s = load_scenario((data_dir / "wealth_tax.yaml").read_text())
     assert load_scenario(yaml.safe_dump(scenario_to_dict(s))) == s
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint8])
+def test_numpy_integers_are_stored_as_python_ints(baseline_scenario, integer):
+    base = baseline_scenario.consumer
+    consumer = replace(base, beta=0.1, law=replace(base.law, n=integer(3)), m=integer(4))
+    scenario = replace(baseline_scenario, consumer=consumer, horizon=integer(10))
+    values = (consumer.law.n, consumer.m, scenario.horizon)
+    assert values == (3, 4, 10) and {type(v) for v in values} == {int}
+    assert json.loads(json.dumps(scenario_to_dict(scenario)))["run"]["horizon"] == 10
 
 
 def test_read_trajectory_rejects_malformed_documents(baseline_scenario):

@@ -323,6 +323,15 @@ def test_a_field_of_the_wrong_type_is_a_field_error(cls, name, value):
     assert excinfo.value.problem.endswith(f", got {value!r}")
 
 
+@pytest.mark.parametrize("cls,name", [(ConsumptionLaw, "n"), (ConsumerParams, "m"),
+                                      (Scenario, "horizon")])
+def test_a_numpy_bool_is_not_an_integer(cls, name):
+    with pytest.raises(FieldError) as excinfo:
+        cls(**{**VALID_FIELDS[cls], name: np.True_})
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        name, f"must be an integer, got {np.True_!r}")
+
+
 @pytest.mark.parametrize("values", ["123", 5, {}, None, True, np.array(1.0)],
                          ids=repr)
 def test_explicit_values_must_be_a_nonempty_list(values):
