@@ -13,7 +13,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, tee
 from operator import sub
 from typing import TYPE_CHECKING
@@ -395,9 +395,7 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
         raise ValueError("sweep axis 'g0' requires a constant expenditure schedule")
     _condition_year(base.debt, k)
 
-    # Points share budget paths and drift series (caches that keep no failures).
-    budget_path = lru_cache(maxsize=None)(_budget_path)
-    drifts = lru_cache(maxsize=None)(partial(_drifts, budget_path=budget_path))
+    budget_path = lru_cache(maxsize=None)(_budget_path)  # the points' one memo; keeps no failure
 
     points = []
     for raw in grid:
@@ -412,8 +410,9 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
         except ModelError as exc:
             errors.append(str(exc))
         try:
-            final_debt = _debt_path(scenario.debt.r, scenario.debt.d0, drifts(
-                scenario.debt.schedule, scenario.consumer, scenario.b0, scenario.horizon)[1])[-1]
+            final_debt = _debt_path(scenario.debt.r, scenario.debt.d0, _drifts(
+                scenario.debt.schedule, scenario.consumer, scenario.b0, scenario.horizon,
+                budget_path)[1])[-1]
         except ModelError as exc:
             errors.append(str(exc))
         points.append(SweepPoint(value, report, final_debt, "; ".join(errors) or None))

@@ -332,6 +332,17 @@ def test_closed_form_reads_an_array_as_its_list():
             == debt_closed_form_general(debt, array.tolist()).tobytes()
 
 
+@pytest.mark.parametrize("element,problem", [
+    ("1", "must be a number, got '1'"), (True, "must be a number, got True"),
+    (None, "must be a number, got None"), (10 ** 400, "must be finite, got inf"),
+], ids=["str", "bool", "None", "huge int"])
+def test_closed_form_drifts_must_be_numbers(element, problem):
+    for drifts in ([1.0, element], [1, element]):
+        with pytest.raises(FieldError) as excinfo:
+            debt_closed_form_general(constant_debt(), drifts)
+        assert (excinfo.value.field, excinfo.value.problem) == ("drifts[1]", problem)
+
+
 def test_closed_form_and_recursion_error_against_the_condition_scale():
     # Drifts -r*D0*(1 +- eps), eps <= 1e-9, nearly cancel the interest, so the
     # problem's condition number is (1+r)**K and no formula keeps a small
@@ -1079,3 +1090,15 @@ def test_max_rel_deviation_is_nan_wherever_a_nan_or_an_infinity_sits(pair):
 def test_max_rel_deviation_rejects_series_of_unequal_length():
     with pytest.raises(ValueError, match="series lengths differ: 2 vs 3"):
         max_rel_deviation([1.0, 2.0], np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("element,problem", [
+    ("1", "must be a number, got '1'"), (False, "must be a number, got False"),
+    (None, "must be a number, got None"), (-10 ** 400, "must be finite, got -inf"),
+], ids=["str", "bool", "None", "huge int"])
+def test_max_rel_deviation_takes_only_numbers(element, problem):
+    for name, pair in (("a", ([2.0, element], [2.0, 1.0])),
+                       ("b", ([2.0, 1.0], [2, element]))):
+        with pytest.raises(FieldError) as excinfo:
+            max_rel_deviation(*pair)
+        assert (excinfo.value.field, excinfo.value.problem) == (f"{name}[1]", problem)

@@ -1,5 +1,6 @@
 """Unit tests for the single-step dynamics and the domain types."""
 
+import math
 import pickle
 
 import numpy as np
@@ -380,6 +381,59 @@ def test_a_trajectory_series_given_as_text_is_rejected(baseline_scenario, text):
                    debt=[100.0, 105.0])
     assert excinfo.value.field == "b"
     assert excinfo.value.problem == f"must be a sequence of numbers, got {type(text).__name__}"
+
+
+SERIES = ("b", "c", "tau", "delta", "debt")
+
+
+def trajectory_with(scenario, name, values):
+    """A one-year trajectory whose series ``name`` is ``values``."""
+    series = dict(b=[18.0, 19.0], c=[float("nan"), 5.0], tau=[float("nan"), 5.0],
+                  delta=[float("nan"), 25.0], debt=[100.0, 130.0])
+    return Trajectory(scenario, **{**series, name: values})
+
+
+@pytest.mark.parametrize("name", SERIES)
+@pytest.mark.parametrize("element", ["18", True, None, np.True_, b"1"], ids=repr)
+def test_a_trajectory_element_that_is_not_a_number_is_named(baseline_scenario, name,
+                                                            element):
+    with pytest.raises(FieldError) as excinfo:
+        trajectory_with(baseline_scenario, name, [18.0, element])
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        f"{name}[1]", f"must be a number, got {element!r}")
+
+
+@pytest.mark.parametrize("name", SERIES)
+@pytest.mark.parametrize("element", [10 ** 400, -10 ** 400], ids=["+huge", "-huge"])
+def test_a_trajectory_int_beyond_the_float_range_is_not_finite(baseline_scenario, name,
+                                                               element):
+    for values in ([element, 1], [1.5, element]):  # an int series, and a mixed one
+        with pytest.raises(FieldError) as excinfo:
+            trajectory_with(baseline_scenario, name, values)
+        assert (excinfo.value.field, excinfo.value.problem) == (
+            f"{name}[{values.index(element)}]",
+            f"must be finite, got {'inf' if element > 0 else '-inf'}")
+
+
+@pytest.mark.parametrize("values", [
+    [np.float64(18.25), np.float64(-0.0)], [np.int64(18), np.int64(-3)],
+    [np.float64(0.1), 7], np.array([18, 19]), np.array([18.1, 1e-310]),
+    np.array([2 ** 62, -5], dtype=np.int64), (18, 19)], ids=repr)
+def test_a_trajectory_keeps_numpy_and_int_elements_as_python_floats(baseline_scenario,
+                                                                    values):
+    want = [float(v).hex() for v in values]
+    for name in SERIES:
+        stored = trajectory_with(baseline_scenario, name, values).series[name]
+        assert type(stored) is tuple and {type(v) for v in stored} == {float}
+        assert [v.hex() for v in stored] == want
+
+
+def test_a_trajectory_element_may_be_nan_or_infinite(baseline_scenario):
+    for name in SERIES:
+        for values in ([math.nan, math.inf], [-math.inf, np.float64(math.nan)],
+                       np.array([math.inf, math.nan])):
+            stored = trajectory_with(baseline_scenario, name, values).series[name]
+            assert [v.hex() for v in stored] == [float(v).hex() for v in values]
 
 
 def test_a_trajectory_s_arrays_are_read_only_and_built_once(baseline_scenario):
