@@ -290,21 +290,16 @@ class Scenario:
 def _floats(values, name: str) -> tuple:
     """Any sequence of numbers as a tuple of Python floats (an array converts
     through one ``tolist()`` call); a str or bytes is not a sequence of numbers.
-    Each element is a number by `_number`'s kind rule, but a float may be NaN
-    or infinite; an element of another kind, or an int beyond the float
-    range, raises FieldError naming it as ``name[i]``."""
+    Each element is a float of any width (NaN and infinities included) or a
+    number by `_number`'s kind rule; an element of another kind, or an int
+    beyond the float range, raises FieldError naming it as ``name[i]``."""
     if isinstance(values, (str, bytes)):
         raise FieldError(name, f"must be a sequence of numbers, got {type(values).__name__}")
     values = tuple(values.tolist() if isinstance(values, _numpy_type("ndarray")) else values)
-    kinds = set(map(type, values))  # one pass; only another kind goes element by element
-    if kinds <= {float}:
+    if set(map(type, values)) <= {float}:  # one pass; another kind goes element by element
         return values
-    if kinds <= {float, int}:
-        try:
-            return tuple(map(float, values))
-        except OverflowError:  # an int beyond the float range, named below
-            pass
-    return tuple(float(v) if isinstance(v, float) else _number(v, name, i)
+    floats = (float, _numpy_type("floating"))
+    return tuple(float(v) if isinstance(v, floats) else _number(v, name, i)
                  for i, v in enumerate(values))
 
 

@@ -343,6 +343,13 @@ def test_closed_form_drifts_must_be_numbers(element, problem):
         assert (excinfo.value.field, excinfo.value.problem) == ("drifts[1]", problem)
 
 
+def test_closed_form_drifts_take_numpy_float_elements():
+    drifts = np.array([1.1, -2.5, 3.0], dtype=np.float32)
+    want = debt_closed_form_general(constant_debt(), drifts)
+    for listed in (list(drifts), [*drifts[:2], 3]):
+        assert debt_closed_form_general(constant_debt(), listed).tobytes() == want.tobytes()
+
+
 def test_closed_form_and_recursion_error_against_the_condition_scale():
     # Drifts -r*D0*(1 +- eps), eps <= 1e-9, nearly cancel the interest, so the
     # problem's condition number is (1+r)**K and no formula keeps a small
@@ -1102,3 +1109,8 @@ def test_max_rel_deviation_takes_only_numbers(element, problem):
         with pytest.raises(FieldError) as excinfo:
             max_rel_deviation(*pair)
         assert (excinfo.value.field, excinfo.value.problem) == (f"{name}[1]", problem)
+
+
+def test_max_rel_deviation_takes_numpy_float_elements():
+    assert max_rel_deviation([np.float32(1.5), np.float16(2)], [1.5, 2.0]) == 0.0
+    assert math.isnan(max_rel_deviation([np.float32("nan")], [1.0]))

@@ -436,6 +436,17 @@ def test_a_trajectory_element_may_be_nan_or_infinite(baseline_scenario):
             assert [v.hex() for v in stored] == [float(v).hex() for v in values]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.longdouble], ids=repr)
+def test_a_trajectory_keeps_numpy_float_elements_of_any_width(baseline_scenario, dtype):
+    for pair in ([18.1, -0.0], [math.inf, math.nan]):
+        array = np.array(pair, dtype=dtype)
+        want = [float(v).hex() for v in array]  # a list of elements stores what the array does
+        for name in SERIES:
+            stored = trajectory_with(baseline_scenario, name, list(array)).series[name]
+            assert {type(v) for v in stored} == {float}
+            assert [v.hex() for v in stored] == want
+
+
 def test_a_trajectory_s_arrays_are_read_only_and_built_once(baseline_scenario):
     traj = simulate(baseline_scenario)
     for name in ("b", "c", "tau", "delta", "debt"):
