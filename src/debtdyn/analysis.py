@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, tee
@@ -135,12 +135,15 @@ def _budget_path(consumer: ConsumerParams, b0: float,
     Once a year with no levy left maps b to itself exactly, every later year
     would repeat it bit for bit (a year depends on k only through the levy),
     so its values fill the rest of the horizon without further solves."""
-    b, c, tau = [b0], [math.nan], [math.nan]
+    consumption, m = consumer.law.consumption, consumer.m
+    b_k, b, c, tau = b0, [b0], [math.nan], [math.nan]
     for k in range(1, horizon + 1):
-        b.append(consumer_step(consumer, b[-1], k))
-        c.append(consumer.law.consumption(b[-1]))
-        tau.append(tax(consumer, b[-1], c[-1], k))
-        if b[-1] == b[-2] and (consumer.m is None or consumer.m < k):
+        b_prev, b_k = b_k, consumer_step(consumer, b_k, k)
+        c_k = consumption(b_k)
+        b.append(b_k)
+        c.append(c_k)
+        tau.append(tax(consumer, b_k, c_k, k))
+        if b_k == b_prev and (m is None or m < k):
             break
     rest = horizon + 1 - len(b)
     return tuple(s + s[-1:] * rest for s in (b, c, tau))
@@ -368,16 +371,19 @@ class SweepPoint:
 
 
 def _with_value(base: Scenario, axis: str, value: float) -> Scenario:
-    if axis == "alpha":
-        # The paper's one tax rate on income and consumption.
-        return replace(base, consumer=replace(base.consumer, alpha=value, gamma=value))
-    if axis == "p_a":
-        return replace(base, consumer=replace(base.consumer, p_a=value))
-    if axis == "r":
-        return replace(base, debt=replace(base.debt, r=value))
-    if axis == "D0":
-        return replace(base, debt=replace(base.debt, d0=value))
-    return replace(base, debt=replace(base.debt, schedule=ConstantSchedule(g0=value)))
+    """``base`` with ``axis`` at ``value``; each changed type is checked by its constructor."""
+    c, d = base.consumer, base.debt
+    if axis == "alpha":  # the paper's one tax rate on income and consumption
+        c = ConsumerParams(c.p_a, value, c.beta, value, c.law, c.m)
+    elif axis == "p_a":
+        c = ConsumerParams(value, c.alpha, c.beta, c.gamma, c.law, c.m)
+    elif axis == "r":
+        d = DebtParams(value, d.d0, d.schedule)
+    elif axis == "D0":
+        d = DebtParams(d.r, value, d.schedule)
+    else:
+        d = DebtParams(d.r, d.d0, ConstantSchedule(value))
+    return Scenario(c, d, base.b0, base.horizon)
 
 
 def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPoint]:
@@ -386,20 +392,22 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
 
     The "alpha" axis moves alpha and gamma together (the paper's one tax
     rate on income and consumption); "g0" requires the base schedule to be
-    Constant. Like an unknown axis, a missing or invalid year ``k`` raises
-    ValueError up front.
+    Constant. Like an unknown axis, a missing or invalid year ``k`` and a
+    grid element that is not a number (a FieldError naming ``grid[i]``)
+    raise ValueError up front.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == "g0" and not isinstance(base.debt.schedule, ConstantSchedule):
         raise ValueError("sweep axis 'g0' requires a constant expenditure schedule")
     _condition_year(base.debt, k)
+    grid = _floats(grid, "grid")  # NaN and infinities pass here and fail at their point
 
     budget_path = lru_cache(maxsize=None)(_budget_path)  # the points' one memo; keeps no failure
 
     points = []
-    for raw in grid:
-        value, report, final_debt, errors = float(raw), None, None, []
+    for value in grid:
+        report, final_debt, errors = None, None, []
         try:
             scenario = _with_value(base, axis, value)
         except (ModelError, ValueError) as exc:

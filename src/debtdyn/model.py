@@ -92,10 +92,10 @@ def _numpy_type(name: str):
 
 
 def _number(value, name: str, index: int | None = None) -> float:
-    """``value`` as a finite float; a bool is not a number (numpy's float64
-    is a float). ``index`` names an element of the field ``name``."""
+    """``value`` as a finite float; a bool is not a number, a numpy integer or
+    float scalar of any width is. ``index`` names an element of the field ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            and not isinstance(value, _numpy_type("integer")):
+            and not isinstance(value, (_numpy_type("integer"), _numpy_type("floating"))):
         problem = f"must be a number, got {value!r}"
     else:
         try:
@@ -390,9 +390,10 @@ def _positive_root(coeff: float, n: int, slope: float, rhs: float) -> float:
     """
     x = min(rhs / slope, (rhs / coeff) ** (1 / n))
     try:
+        # n * coeff * x ** (n - 1) multiplies (n * coeff) first; it overflows for a huge n
+        n_coeff, n_less = n * coeff, n - 1
         for _ in range(_MAX_ITER):
-            x_new = x - (coeff * x ** n + slope * x - rhs) \
-                / (n * coeff * x ** (n - 1) + slope)
+            x_new = x - (coeff * x ** n + slope * x - rhs) / (n_coeff * x ** n_less + slope)
             if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
                 return x_new
             x = x_new
@@ -424,9 +425,10 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
         raise NonPositiveBudget(
             f"(1-alpha)*p_a + b_prev = {rhs!r} must be > 0 to admit a positive budget"
         )
-    coeff = (1.0 + params.gamma) * params.law.a
+    law = params.law
+    coeff = (1.0 + params.gamma) * law.a
     slope = 1.0 + params.wealth_tax_rate(k)
-    return _positive_root(coeff, params.law.n, slope, rhs)
+    return _positive_root(coeff, law.n, slope, rhs)
 
 
 def debt_step(r, d_prev, drift):

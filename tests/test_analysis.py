@@ -42,7 +42,13 @@ from debtdyn import (
 )
 from debtdyn import analysis
 from debtdyn.analysis import _budget_path, _with_value
-from debtdyn.model import debt_step, tax
+from debtdyn.model import (
+    _MAX_ITER,
+    _STEP_RTOL,
+    SolverDidNotConverge,
+    debt_step,
+    tax,
+)
 from debtdyn.io import load_scenario
 from helpers import quad_root, random_general_scenario
 
@@ -771,6 +777,52 @@ def test_budget_path_equals_the_plain_loop(case):
     assert_bitwise_equal_paths(_budget_path(consumer, b0, horizon), want)
 
 
+def reference_positive_root(coeff, n, slope, rhs):
+    """The plain Newton loop: every term of the step formed in every step."""
+    x = min(rhs / slope, (rhs / coeff) ** (1 / n))
+    try:
+        for _ in range(_MAX_ITER):
+            x_new = x - (coeff * x ** n + slope * x - rhs) \
+                / (n * coeff * x ** (n - 1) + slope)
+            if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
+                return x_new
+            x = x_new
+    except OverflowError:
+        pass
+    raise SolverDidNotConverge(
+        f"budget root of {coeff!r}*b**{n} + {slope!r}*b = {rhs!r} not reached "
+        f"in floating point within {_MAX_ITER} Newton steps (last iterate {x!r})"
+    )
+
+
+def reference_consumer_step(params, b_prev, k):
+    rhs = (1.0 - params.alpha) * params.p_a + b_prev  # > 0 over budget_cases
+    coeff = (1.0 + params.gamma) * params.law.a
+    slope = 1.0 + params.wealth_tax_rate(k)
+    return reference_positive_root(coeff, params.law.n, slope, rhs)
+
+
+@settings(max_examples=500)
+@given(budget_cases(), st.booleans())
+# n beyond the float range: n * coeff overflows, as x ** n does
+@example((make_consumer(n=10 ** 400), 18.0, 1), False)
+@example((make_consumer(beta=0.3, m=1, n=10 ** 400), 18.0, 1), True)
+# x ** n overflows on the way down to the root
+@example((make_consumer(alpha=0.0, gamma=0.0, a=5e-324, n=40), 1e12, 1), False)
+def test_consumer_step_equals_the_plain_newton_loop(case, in_levy_year):
+    consumer, b_prev, horizon = case
+    m = consumer.m
+    k = horizon if m is None else m if in_levy_year else m + 1
+    try:
+        want = reference_consumer_step(consumer, b_prev, k)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as raised:
+            consumer_step(consumer, b_prev, k)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    assert consumer_step(consumer, b_prev, k).hex() == want.hex()
+
+
 def counting_steps(monkeypatch):
     years = []
 
@@ -907,6 +959,87 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
     for k in (None, 0):
         with pytest.raises(ValueError, match="year k"):
             sweep(linear, "D0", [1.0], k=k)
+
+
+@pytest.mark.parametrize("grid,field,problem", [
+    ([0.1, None], "grid[1]", "must be a number, got None"),
+    (["abc"], "grid[0]", "must be a number, got 'abc'"),
+    ([0.05, "0.1"], "grid[1]", "must be a number, got '0.1'"),
+    ([True], "grid[0]", "must be a number, got True"),
+    ([0.05, np.True_], "grid[1]", f"must be a number, got {np.True_!r}"),
+    ([Fraction(1, 10)], "grid[0]", "must be a number, got Fraction(1, 10)"),
+    ([0.05, 10 ** 400], "grid[1]", "must be finite, got inf"),
+    ([-10 ** 400], "grid[0]", "must be finite, got -inf"),
+    ("0.1", "grid", "must be a sequence of numbers, got str"),
+], ids=["None", "str", "numeric-str", "bool", "numpy-bool", "Fraction", "+huge", "-huge",
+        "text"])
+def test_a_grid_element_that_is_not_a_number_stops_the_sweep_up_front(
+        baseline_scenario, monkeypatch, grid, field, problem):
+    years = counting_steps(monkeypatch)
+    for axis in SWEEP_AXES:
+        with pytest.raises(FieldError) as excinfo:
+            sweep(baseline_scenario, axis, grid)
+        assert (excinfo.value.field, excinfo.value.problem) == (field, problem)
+    assert years == []  # no point ran
+
+
+def test_a_non_finite_grid_value_fails_only_its_point(baseline_scenario):
+    grid = [math.nan, 0.05, math.inf, np.float32("-inf")]
+    points = sweep(baseline_scenario, "r", grid)
+    assert [type(p.value) for p in points] == [float] * 4
+    assert math.isnan(points[0].value) and points[0].error == "r must be finite, got nan"
+    assert points[1].error is None and points[1].final_debt is not None
+    assert points[2].error == "r must be finite, got inf"
+    assert points[3].error == "r must be finite, got -inf"
+
+
+@pytest.mark.parametrize("grid", [[np.int64(0), np.float32(0.25), 1], np.array([0, 0.25, 1]),
+                                  (v for v in (0, 0.25, 1.0))], ids=["scalars", "array", "iter"])
+def test_numpy_and_int_grid_values_sweep_as_floats(baseline_scenario, grid):
+    points = sweep(baseline_scenario, "r", grid)
+    assert [type(p.value) for p in points] == [float] * 3
+    assert points == sweep(baseline_scenario, "r", [0.0, 0.25, 1.0])
+
+
+def replace_with_value(base, axis, value):
+    """`_with_value` through `dataclasses.replace`, the reference it must match."""
+    if axis == "alpha":
+        return replace(base, consumer=replace(base.consumer, alpha=value, gamma=value))
+    if axis == "p_a":
+        return replace(base, consumer=replace(base.consumer, p_a=value))
+    if axis == "r":
+        return replace(base, debt=replace(base.debt, r=value))
+    if axis == "D0":
+        return replace(base, debt=replace(base.debt, d0=value))
+    return replace(base, debt=replace(base.debt, schedule=ConstantSchedule(g0=value)))
+
+
+# every field differs from every other, so a dropped or swapped one shows
+WITH_VALUE_SCHEDULES = {"constant": ConstantSchedule(g0=30.0),
+                        "linear": LinearSchedule(g1=31.0, delta_g=-0.5),
+                        "explicit": ExplicitSchedule(values=(32.0, 33.5, 29.0))}
+WITH_VALUE_GRID = [0.0, -0.0, 5e-324, 0.125, 0.9, 1.0, 1.5, 60.0, 1e308, -1.0,
+                   math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("m", [None, 4])
+@pytest.mark.parametrize("kind", sorted(WITH_VALUE_SCHEDULES))
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_with_value_builds_what_replace_builds(axis, kind, m):
+    base = Scenario(consumer=make_consumer(p_a=100.0, alpha=0.3, beta=0.2, gamma=0.1,
+                                           a=0.15, n=3, m=m),
+                    debt=DebtParams(r=0.05, d0=120.0, schedule=WITH_VALUE_SCHEDULES[kind]),
+                    b0=18.0, horizon=12)
+    for value in WITH_VALUE_GRID:
+        try:
+            want = replace_with_value(base, axis, value)
+        except (ModelError, ValueError) as exc:
+            with pytest.raises((ModelError, ValueError)) as raised:
+                _with_value(base, axis, value)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            continue
+        got = _with_value(base, axis, value)
+        assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
 
 def per_point_oracle(base, axis, value, k):

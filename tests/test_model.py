@@ -360,6 +360,53 @@ def test_numpy_numbers_are_accepted_as_floats():
         assert {type(v) for v in schedule.values} == {float}
 
 
+FLOAT_FIELDS = [(cls, name) for cls, name in NUMERIC_FIELDS if name not in ("n", "m", "horizon")]
+NUMPY_FLOATS = [np.float16, np.float32, np.longdouble]
+
+
+@pytest.mark.parametrize("dtype", NUMPY_FLOATS, ids=repr)
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_a_numpy_float_scalar_of_any_width_is_a_number(cls, name, dtype):
+    value = dtype(VALID_FIELDS[cls][name])
+    stored = getattr(cls(**{**VALID_FIELDS[cls], name: value}), name)
+    assert type(stored) is float and stored.hex() == float(value).hex()
+    for bad in (dtype("nan"), dtype("inf"), -dtype("inf")):
+        with pytest.raises(FieldError) as excinfo:
+            cls(**{**VALID_FIELDS[cls], name: bad})
+        assert (excinfo.value.field, excinfo.value.problem) == (
+            name, f"must be finite, got {float(bad)!r}")
+
+
+@pytest.mark.parametrize("dtype", NUMPY_FLOATS, ids=repr)
+def test_explicit_values_take_numpy_float_scalars_as_their_array(dtype):
+    array = np.array([30.5, 0.1, 1e-3], dtype=dtype)
+    schedule = ExplicitSchedule(values=list(array))
+    assert [v.hex() for v in schedule.values] == [v.hex() for v in
+                                                   ExplicitSchedule(values=array).values]
+    assert {type(v) for v in schedule.values} == {float}
+    assert ConstantSchedule(g0=dtype(30.5)).g0 == 30.5
+
+
+def test_a_long_double_beyond_the_float_range_is_not_finite():
+    with pytest.raises(FieldError) as excinfo:
+        ConstantSchedule(g0=np.longdouble("1e4000"))
+    assert (excinfo.value.field, excinfo.value.problem) == ("g0", "must be finite, got inf")
+
+
+@pytest.mark.parametrize("value", [np.complex64(1.0), np.complex128(30.5),
+                                   np.clongdouble(2.0), 1 + 0j], ids=repr)
+def test_a_complex_value_is_not_a_number(value):
+    with pytest.raises(FieldError) as excinfo:
+        ConstantSchedule(g0=value)
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        "g0", f"must be a number, got {value!r}")
+    with pytest.raises(FieldError) as excinfo:
+        ExplicitSchedule(values=[30.0, value])
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        "values[1]", f"must be a number, got {value!r}")
+
+
 @pytest.mark.parametrize("lengths,problem", [
     ((11, 11, 11, 11, 10), "lengths differ: [10, 11]"),
     ((0, 0, 0, 0, 0), "must include the initial year"),
