@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, tee
+from itertools import accumulate
 from operator import sub
 from typing import TYPE_CHECKING
 
@@ -195,10 +195,14 @@ def _thresholds(x, r: float, d0: float):
     Summation by parts of D_k = (1+r)*D_{k-1} + d_k gives D_k - D_{k-1} =
     (1+r)**(k-1) * T_k over the drifts d; over the expenditures g, T_k is
     the decrease condition's threshold."""
-    prev, nxt = tee(x)
-    first = next(nxt)
-    return accumulate(((b - a) * (1.0 + r) ** -i for i, (a, b) in enumerate(zip(prev, nxt), 1)),
-                      initial=first + r * d0)
+    x, growth = iter(x), 1.0 + r
+    prev = next(x)  # no caller passes an empty series
+    t = prev + r * d0
+    yield t
+    for i, cur in enumerate(x, 1):
+        t += (cur - prev) * growth ** -i
+        yield t
+        prev = cur
 
 
 def _debt_closed_form_general(debt: DebtParams, drifts) -> list:

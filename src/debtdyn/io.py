@@ -33,13 +33,11 @@ floats go through `format_number`, a str enum is its value.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
 from dataclasses import fields
 from enum import Enum
-from io import StringIO
 
 import yaml
 
@@ -117,14 +115,16 @@ _SCHEDULE_KINDS = {
     "explicit": ExplicitSchedule,
 }
 
-
-def _key(name: str) -> str:
-    return _FILE_KEYS.get(name, name)
+# Model type -> (field, file key, optional: its default is None) of each field.
+_FIELDS = {cls: tuple((f.name, _FILE_KEYS.get(f.name, f.name), f.default is None)
+                      for f in fields(cls))
+           for cls in (ConsumerParams, ConsumptionLaw, DebtParams, Scenario,
+                       *_SCHEDULE_KINDS.values())}
 
 
 def _restate(exc: FieldError, path: str) -> ValidationError:
     """A model field error under the field's file path."""
-    return ValidationError(f"{path}.{_key(exc.field)}: {exc.problem}")
+    return ValidationError(f"{path}.{_FILE_KEYS.get(exc.field, exc.field)}: {exc.problem}")
 
 
 def _build(cls, doc, path: str, extra: tuple = (), **given):
@@ -133,15 +133,16 @@ def _build(cls, doc, path: str, extra: tuple = (), **given):
     is read under its file key, through its parser in `_NESTED` if it has
     one. A field whose default is None may be absent or null. ``extra``
     names keys the mapping may hold besides the fields."""
-    read = [f for f in fields(cls) if f.name not in given]
-    doc = _mapping(doc, path, {*extra, *(_key(f.name) for f in read)})
-    for f in read:
-        key = _key(f.name)
-        if f.default is None and doc.get(key) is None:
+    read = [field for field in _FIELDS[cls] if field[0] not in given]
+    doc = _mapping(doc, path, {*extra, *(key for _, key, _ in read)})
+    for name, key, optional in read:
+        value = doc.get(key)
+        if value is None and optional:
             continue
-        value = _get(doc, key, f"{path}.{key}")
-        parse = _NESTED.get(f.name)
-        given[f.name] = parse(value, f"{path}.{key}") if parse else value
+        if value is None and key not in doc:
+            _fail(f"{path}.{key}", "required field is missing")
+        parse = _NESTED.get(name)
+        given[name] = parse(value, f"{path}.{key}") if parse else value
     try:
         return cls(**given)
     except FieldError as exc:
@@ -225,10 +226,10 @@ def _as_doc(value) -> dict:
     """A model value's fields under their file keys; unset optional fields
     are left out and tuples become lists."""
     doc = {}
-    for f in fields(value):
-        item = getattr(value, f.name)
+    for name, key, _ in _FIELDS[type(value)]:
+        item = getattr(value, name)
         if item is not None:
-            doc[_key(f.name)] = list(item) if isinstance(item, tuple) else item
+            doc[key] = list(item) if isinstance(item, tuple) else item
     return doc
 
 
@@ -264,13 +265,21 @@ def _text(value) -> str:
     return value.value if isinstance(value, Enum) else str(value)
 
 
+def _csv_line(cells: list) -> str:
+    """One CSV line, quoted as `csv.writer` does: a cell with a comma, quote or
+    newline is quoted, its quotes doubled; a lone empty cell is ``""``; CR stays bare."""
+    line = ",".join(cells)  # one test of the joined line: few lines need quoting
+    if line.count(",") < len(cells) and '"' not in line and "\n" not in line and line:
+        return line
+    return '""' if cells == [""] else ",".join([
+        '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell or "\n" in cell
+        else cell for cell in cells])
+
+
 def write_table(header, rows) -> str:
-    """CSV with one header line; a cell with a comma or quote is quoted."""
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(_text, row) for row in rows)
-    return out.getvalue()
+    """CSV with one header line of text cells; every line ends in a newline."""
+    return "\n".join([_csv_line(list(header)),
+                      *[_csv_line(list(map(_text, row))) for row in rows], ""])
 
 
 def write_record(fields: dict) -> str:

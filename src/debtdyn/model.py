@@ -242,6 +242,8 @@ class ExplicitSchedule:
                                                  for i, v in enumerate(values)))
 
     def value_at(self, k: int) -> float:
+        if k < 1:  # values[k - 1] would count from the end
+            raise ValueError(f"year k must be >= 1, got {k!r}")
         if k > len(self.values):
             raise ScheduleTooShort(
                 f"explicit schedule has {len(self.values)} value(s), year {k} requested"

@@ -7,6 +7,7 @@ import re
 import struct
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, tee
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,27 @@ def test_debt_increment_is_the_condition_margin():
             margin = decrease_condition(cons, debt, k).margin
             assert series[k] - series[k - 1] == pytest.approx(
                 -(1.0 + r) ** (k - 1) * margin, rel=1e-12, abs=1e-12 * abs(series[k]))
+
+
+def _tee_accumulate_thresholds(x, r, d0):
+    """`analysis._thresholds` as a tee/accumulate pipeline: the reference its
+    generator must match bit for bit."""
+    prev, nxt = tee(x)
+    first = next(nxt)
+    return accumulate(((b - a) * (1.0 + r) ** -i for i, (a, b) in enumerate(zip(prev, nxt), 1)),
+                      initial=first + r * d0)
+
+
+@pytest.mark.parametrize("length", [1, 2, 30, 10**4])
+@pytest.mark.parametrize("r", [0.0, 1e-300, 1e-3, 0.05, 0.9, 5.0])
+def test_thresholds_match_the_tee_accumulate_form_bit_for_bit(r, length):
+    # at r = 5, 6.0**-i underflows to 0 from i = 416 on, so the long series adds exact zeros
+    rng = random.Random(length)
+    x = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 6) for _ in range(length)]
+    expected = list(map(float.hex, _tee_accumulate_thresholds(x, r, 123.4)))
+    assert len(expected) == length
+    for series in (x, iter(x)):  # a list, as the closed form passes, or an iterator
+        assert list(map(float.hex, analysis._thresholds(series, r, 123.4))) == expected
 
 
 # ---------------------------------------------------------------------------

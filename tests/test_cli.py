@@ -514,6 +514,9 @@ GOLDEN = {
     # D0 = -1 is invalid and the debt from D0 = 1.75e308 overflows in year 1
     "sweep_D0_linear_k5.json": ["sweep", "tests/data/linear.yaml", "--axis", "D0", "-k", "5",
                                 "--grid=-1,0,50,100,200,1e308,1.75e308", "--format", "json"],
+    # two values for ten years: the ScheduleTooShort error holds a comma, so its cell is quoted
+    "sweep_D0_short_explicit_k1.csv": ["sweep", "tests/data/short_explicit.yaml", "--axis", "D0",
+                                       "--grid", "30,40", "-k", "1"],
 }
 
 

@@ -1,14 +1,19 @@
 """Scenario loading/validation and trajectory serialization tests."""
 
 import copy
+import csv
 import json
 import math
+import sys
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from debtdyn import (
     ConstantSchedule,
@@ -397,6 +402,47 @@ def test_csv_is_byte_stable_across_runs(baseline_scenario):
     first = write_trajectory(simulate(baseline_scenario), format="csv")
     second = write_trajectory(simulate(baseline_scenario), format="csv")
     assert first == second
+
+
+def _csv_writer_table(header, rows) -> str:
+    """The table as `csv.writer` writes it over the same cells: the reference
+    for `io.write_table`'s quoting."""
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(io._text, row) for row in rows)
+    return out.getvalue()
+
+
+# csv.writer leaves "\r" bare through Python 3.12 and quotes it from 3.13 on, so
+# it is the reference for "\r" only there; the next test pins it on every version.
+_CR = ["\r"] if sys.version_info < (3, 13) else []
+_CSV_TEXT = st.lists(st.sampled_from([",", '"', "\n", *_CR, " ", '""', "a"]),
+                     max_size=5).map("".join)
+_CSV_CELL = (st.floats() | st.just(math.nan) | st.none() | st.booleans() | st.integers()
+             | _CSV_TEXT)
+
+
+@st.composite
+def _csv_tables(draw):
+    columns = draw(st.integers(1, 4))
+    header = draw(st.lists(_CSV_TEXT, min_size=columns, max_size=columns))
+    rows = draw(st.lists(st.lists(_CSV_CELL, min_size=columns, max_size=columns),
+                         max_size=4))
+    return header, rows
+
+
+@given(_csv_tables())
+@example(([""], [[None], [math.nan], [""]]))  # a lone empty cell is ""
+@example((["k", "a,b"], []))  # a header-only table
+@example((["x", "y"], [['say "hi"', "a\nb"], [",", '""']]))
+def test_write_table_matches_csv_writer_byte_for_byte(table):
+    header, rows = table
+    assert io.write_table(header, rows) == _csv_writer_table(header, rows)
+
+
+def test_write_table_leaves_a_carriage_return_bare():
+    assert io.write_table(["a", "b"], [["x\ry", "\r"], ["\r,"]]) == 'a,b\nx\ry,\r\n"\r,"\n'
 
 
 def test_unknown_format_rejected(baseline_scenario):

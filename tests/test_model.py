@@ -235,6 +235,13 @@ def test_explicit_schedule_lookup_and_bounds():
         sched.value_at(3)
 
 
+@pytest.mark.parametrize("k", [0, -1, -2, -3])
+def test_explicit_schedule_refuses_a_year_below_1(k):
+    # values[k - 1] would count from the end: 33.0, 31.0 and 30.0, then IndexError
+    with pytest.raises(ValueError, match=rf"^year k must be >= 1, got {k}$"):
+        ExplicitSchedule(values=(30.0, 31.0, 33.0)).value_at(k)
+
+
 # ---------------------------------------------------------------------------
 # type invariants
 # ---------------------------------------------------------------------------
