@@ -30,6 +30,7 @@ from .model import (
     Trajectory,
     _floats,
     _integer,
+    _year,
     consumer_step,
     tax,
 )
@@ -306,10 +307,7 @@ def _condition_year(debt: DebtParams, k: int | None) -> int | None:
         return None
     if k is None:
         raise ValueError("year k is required for a non-constant schedule")
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError(f"year k must be >= 1, got {k!r}")
-    return k
+    return _year(_integer(k, "k"))
 
 
 def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
@@ -374,8 +372,9 @@ class SweepPoint:
     error: str | None
 
 
-def _with_value(base: Scenario, axis: str, value: float) -> Scenario:
-    """``base`` with ``axis`` at ``value``; each changed type is checked by its constructor."""
+def _with_value(base: Scenario, axis: str, value: float) -> tuple[ConsumerParams, DebtParams]:
+    """``base``'s consumer and debt with ``axis`` at ``value``; each changed type
+    is checked by its constructor. No axis moves b0 or the horizon."""
     c, d = base.consumer, base.debt
     if axis == "alpha":  # the paper's one tax rate on income and consumption
         c = ConsumerParams(c.p_a, value, c.beta, value, c.law, c.m)
@@ -387,7 +386,7 @@ def _with_value(base: Scenario, axis: str, value: float) -> Scenario:
         d = DebtParams(d.r, value, d.schedule)
     else:
         d = DebtParams(d.r, d.d0, ConstantSchedule(value))
-    return Scenario(c, d, base.b0, base.horizon)
+    return c, d
 
 
 def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPoint]:
@@ -413,18 +412,17 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
     for value in grid:
         report, final_debt, errors = None, None, []
         try:
-            scenario = _with_value(base, axis, value)
+            consumer, debt = _with_value(base, axis, value)
         except (ModelError, ValueError) as exc:
             points.append(SweepPoint(value, None, None, str(exc)))
             continue
         try:
-            report = decrease_condition(scenario.consumer, scenario.debt, k)
+            report = decrease_condition(consumer, debt, k)
         except ModelError as exc:
             errors.append(str(exc))
         try:
-            final_debt = _debt_path(scenario.debt.r, scenario.debt.d0, _drifts(
-                scenario.debt.schedule, scenario.consumer, scenario.b0, scenario.horizon,
-                budget_path)[1])[-1]
+            final_debt = _debt_path(debt.r, debt.d0, _drifts(
+                debt.schedule, consumer, base.b0, base.horizon, budget_path)[1])[-1]
         except ModelError as exc:
             errors.append(str(exc))
         points.append(SweepPoint(value, report, final_debt, "; ".join(errors) or None))

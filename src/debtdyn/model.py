@@ -119,6 +119,13 @@ def _integer(value, name: str) -> int:
     raise FieldError(name, f"must be an integer, got {value!r}")
 
 
+def _year(k: int) -> int:
+    """``k`` when it is a year of a schedule, >= 1; ValueError otherwise."""
+    if k < 1:
+        raise ValueError(f"year k must be >= 1, got {k!r}")
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -200,6 +207,7 @@ class ConstantSchedule:
         _check(self.g0 >= 0, "g0", "must be >= 0", self.g0)
 
     def value_at(self, k: int) -> float:
+        _year(k)
         return self.g0
 
 
@@ -219,7 +227,7 @@ class LinearSchedule:
         _check(self.g1 > 0, "g1", "must be > 0", self.g1)
 
     def value_at(self, k: int) -> float:
-        return (k - 1) * self.delta_g + self.g1
+        return (_year(k) - 1) * self.delta_g + self.g1
 
 
 @dataclass(frozen=True)
@@ -242,9 +250,7 @@ class ExplicitSchedule:
                                                  for i, v in enumerate(values)))
 
     def value_at(self, k: int) -> float:
-        if k < 1:  # values[k - 1] would count from the end
-            raise ValueError(f"year k must be >= 1, got {k!r}")
-        if k > len(self.values):
+        if _year(k) > len(self.values):  # below 1, values[k - 1] would count from the end
             raise ScheduleTooShort(
                 f"explicit schedule has {len(self.values)} value(s), year {k} requested"
             )

@@ -898,11 +898,28 @@ def test_an_alpha_sweep_solves_one_budget_path_per_distinct_value(baseline_scena
     grid = [0.1, 0.25, 0.1, 0.4, 0.25, 0.1]
     years = counting_steps(monkeypatch)
     for alpha in sorted(set(grid)):
-        simulate(_with_value(baseline_scenario, "alpha", alpha))
+        simulate(replace_with_value(baseline_scenario, "alpha", alpha))
     want = len(years)
     years.clear()
     sweep(baseline_scenario, "alpha", grid)
     assert len(years) == want > 3
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_a_sweep_builds_no_scenario(baseline_scenario, monkeypatch, axis):
+    # no axis moves b0 or the horizon, so the base's checks of them stand for every point
+    built = []
+    post_init = Scenario.__post_init__
+
+    def counted(scenario):
+        built.append(scenario)
+        post_init(scenario)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    points = sweep(baseline_scenario, axis, [0.1, 0.2, -1.0])
+    assert [p.report is not None and p.final_debt is not None for p in points] \
+        == [True, True, False]
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -1024,7 +1041,8 @@ def test_numpy_and_int_grid_values_sweep_as_floats(baseline_scenario, grid):
 
 
 def replace_with_value(base, axis, value):
-    """`_with_value` through `dataclasses.replace`, the reference it must match."""
+    """The scenario whose consumer and debt `_with_value` must return, through
+    `dataclasses.replace`."""
     if axis == "alpha":
         return replace(base, consumer=replace(base.consumer, alpha=value, gamma=value))
     if axis == "p_a":
@@ -1060,7 +1078,7 @@ def test_with_value_builds_what_replace_builds(axis, kind, m):
                 _with_value(base, axis, value)
             assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
             continue
-        got = _with_value(base, axis, value)
+        got, want = _with_value(base, axis, value), (want.consumer, want.debt)
         assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
 
@@ -1068,7 +1086,7 @@ def per_point_oracle(base, axis, value, k):
     """A sweep point computed on its own: `decrease_condition` and `simulate`
     on the moved scenario, errors joined in that order."""
     try:
-        scenario = _with_value(base, axis, value)
+        scenario = replace_with_value(base, axis, value)
     except (ModelError, ValueError) as exc:
         return None, None, str(exc)
     report = final_debt = None

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -235,11 +236,16 @@ def test_explicit_schedule_lookup_and_bounds():
         sched.value_at(3)
 
 
-@pytest.mark.parametrize("k", [0, -1, -2, -3])
-def test_explicit_schedule_refuses_a_year_below_1(k):
+@pytest.mark.parametrize("schedule", [
     # values[k - 1] would count from the end: 33.0, 31.0 and 30.0, then IndexError
+    ExplicitSchedule(values=(30.0, 31.0, 33.0)),
+    LinearSchedule(g1=1.0, delta_g=5.0),  # (k-1)*delta_g + g1 would be 1.0, -4.0, -9.0, -14.0
+    ConstantSchedule(g0=30.0),
+], ids=["explicit", "linear", "constant"])
+@pytest.mark.parametrize("k", [0, -1, -2, -3])
+def test_every_schedule_refuses_a_year_below_1(schedule, k):
     with pytest.raises(ValueError, match=rf"^year k must be >= 1, got {k}$"):
-        ExplicitSchedule(values=(30.0, 31.0, 33.0)).value_at(k)
+        schedule.value_at(k)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +523,23 @@ def test_a_trajectory_survives_pickling(baseline_scenario):
     back = pickle.loads(pickle.dumps(traj))
     assert back.scenario == traj.scenario
     assert back.series["b"] == traj.series["b"] and np.array_equal(back.debt, traj.debt)
+
+
+def test_a_pickled_trajectory_keeps_its_series_bit_for_bit_and_read_only(baseline_scenario):
+    traj = simulate(baseline_scenario)
+    assert not traj.b.flags.writeable  # an array built before pickling is built again after
+    back = pickle.loads(pickle.dumps(traj))
+    assert back.scenario == traj.scenario
+    assert isinstance(back.series, MappingProxyType) and list(back.series) == list(traj.series)
+    with pytest.raises(TypeError):
+        back.series["b"] = ()
+    for name, values in traj.series.items():
+        # hex, not ==: the NaN flows of year 0 are never equal to themselves
+        assert [v.hex() for v in back.series[name]] == [v.hex() for v in values]
+        array = getattr(back, name)
+        assert [v.hex() for v in array.tolist()] == [v.hex() for v in values]
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_debt_params_allow_zero_rate():
