@@ -165,6 +165,8 @@ def _debt_path(r: float, d0: float, drifts) -> list:
 def _drifts(schedule, consumer, b0, horizon, budget_path=_budget_path) -> tuple:
     """The budget path of years 0..K and the drifts g_k - tau_k of years 1..K."""
     g = _expenditure(schedule, horizon)  # before any solve: a short schedule is reported first
+    if b0 is None:  # at the fixed point: this consumer's own b_lambda
+        b0 = fixed_point(consumer).b_lambda
     path = budget_path(consumer, b0, horizon)
     return path, list(map(sub, g, path[2][1:]))
 
@@ -174,9 +176,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     Year k computes, in order: the implicit budget step, consumption, the tax
     bill, the debt drift (the year's scheduled expenditure minus the tax
-    bill), and the debt update. Raises ScheduleTooShort up front if an
-    explicit schedule does not cover the horizon, and DebtNotFinite if the
-    debt leaves the float range.
+    bill), and the debt update, from b0 or, when it is None, from b_lambda.
+    Raises ScheduleTooShort up front if an explicit schedule does not cover
+    the horizon, FixedPointOutOfRange if that b_lambda is out of range, and
+    DebtNotFinite if the debt leaves the float range.
     """
     (b, c, tau), drifts = _drifts(scenario.debt.schedule, scenario.consumer,
                                   scenario.b0, scenario.horizon)
@@ -374,7 +377,8 @@ class SweepPoint:
 
 def _with_value(base: Scenario, axis: str, value: float) -> tuple[ConsumerParams, DebtParams]:
     """``base``'s consumer and debt with ``axis`` at ``value``; each changed type
-    is checked by its constructor. No axis moves b0 or the horizon."""
+    is checked by its constructor. No axis moves b0 (None: the point's own
+    b_lambda) or the horizon."""
     c, d = base.consumer, base.debt
     if axis == "alpha":  # the paper's one tax rate on income and consumption
         c = ConsumerParams(c.p_a, value, c.beta, value, c.law, c.m)
@@ -395,9 +399,9 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
 
     The "alpha" axis moves alpha and gamma together (the paper's one tax
     rate on income and consumption); "g0" requires the base schedule to be
-    Constant. Like an unknown axis, a missing or invalid year ``k`` and a
-    grid element that is not a number (a FieldError naming ``grid[i]``)
-    raise ValueError up front.
+    Constant; a base without b0 starts each point at its own b_lambda. Like
+    an unknown axis, a missing or invalid year ``k`` and a grid element that
+    is not a number (a FieldError naming ``grid[i]``) raise ValueError up front.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")

@@ -141,7 +141,8 @@ _p = _SUB.add_parser("sweep", parents=[_COMMON],
                      help="decrease condition + terminal simulated debt across "
                           "a one-parameter grid")
 _p.add_argument("--axis", required=True, choices=analysis.SWEEP_AXES,
-                help="parameter to sweep ('alpha' sets both rates: the paper's one tax rate)")
+                help="parameter to sweep ('alpha' sets both rates: the paper's one tax rate); "
+                     "without run.b0 each point starts at its own b_lambda")
 _p.add_argument("--grid", required=True, type=parse_grid, help=_GRID_HELP)
 _p.add_argument("-k", "--year", type=int, default=None,
                 help="condition year; required for linear/explicit schedules")

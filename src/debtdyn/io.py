@@ -16,7 +16,7 @@ Scenario files are YAML documents with three sections::
       # or {kind: linear, g1: 30.0, deltaG: 1.0}
       # or {kind: explicit, values: [30.0, 31.0, 33.0]}
     run:
-      b0: 18.0             # optional; defaults to the consumer fixed point
+      b0: 18.0             # optional; absent, the budget starts at the consumer's fixed point
       horizon: 10
 
 Unknown keys are rejected at every level so typos fail loudly. This module
@@ -41,7 +41,6 @@ from enum import Enum
 
 import yaml
 
-from .analysis import FixedPointOutOfRange, fixed_point
 from .model import (
     ConstantSchedule,
     ConsumerParams,
@@ -168,21 +167,12 @@ _NESTED = {
 
 
 def scenario_from_mapping(doc) -> Scenario:
-    """Validate a parsed scenario mapping and build the Scenario.
-
-    When run.b0 is absent it defaults to the consumer's fixed-point budget.
-    """
+    """Validate a parsed scenario mapping and build the Scenario. An absent
+    or null run.b0 is None, which starts the budget at the fixed point."""
     doc = _mapping(doc, "scenario", {"consumer", "debt", "run"})
     consumer = _build(ConsumerParams, _get(doc, "consumer", "consumer"), "consumer")
     debt = _build(DebtParams, _get(doc, "debt", "debt"), "debt")
-    run = _mapping(_get(doc, "run", "run"), "run", {"b0", "horizon"})
-    if run.get("b0") is None:  # explicit null reads as absent
-        try:
-            run = {**run, "b0": fixed_point(consumer).b_lambda}
-        except FixedPointOutOfRange as exc:
-            _fail("run.b0", f"required, since the fixed-point default is out of "
-                            f"range ({exc})")
-    return _build(Scenario, run, "run", consumer=consumer, debt=debt)
+    return _build(Scenario, _get(doc, "run", "run"), "run", consumer=consumer, debt=debt)
 
 
 class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml when PyYAML has it
@@ -234,14 +224,16 @@ def _as_doc(value) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Scenario as a plain mapping in the file schema (inverse of loading)."""
+    """Scenario as a plain mapping in the file schema (inverse of loading);
+    a b0 of None is left out, as the file left it out."""
     consumer, debt = scenario.consumer, scenario.debt
     kind = next(kind for kind, cls in _SCHEDULE_KINDS.items()
                 if isinstance(debt.schedule, cls))
+    run = {"b0": scenario.b0, "horizon": scenario.horizon}
     return {
         "consumer": {**_as_doc(consumer), "law": _as_doc(consumer.law)},
         "debt": {**_as_doc(debt), "schedule": {"kind": kind, **_as_doc(debt.schedule)}},
-        "run": {"b0": scenario.b0, "horizon": scenario.horizon},
+        "run": {key: value for key, value in run.items() if value is not None},
     }
 
 

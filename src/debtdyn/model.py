@@ -281,16 +281,17 @@ class DebtParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete simulation specification."""
+    """A complete simulation specification; b0 None starts the budget at b_lambda."""
 
     consumer: ConsumerParams
     debt: DebtParams
-    b0: float
     horizon: int
+    b0: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "b0", _number(self.b0, "b0"))
-        _check(self.b0 > 0, "b0", "must be > 0", self.b0)
+        if self.b0 is not None:
+            object.__setattr__(self, "b0", _number(self.b0, "b0"))
+            _check(self.b0 > 0, "b0", "must be > 0", self.b0)
         object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
         _check(self.horizon >= 1, "horizon", "must be >= 1", self.horizon)
 

@@ -1137,8 +1137,8 @@ AXIS_VALUES = {
 def sweep_cases(draw):
     """A general base (alpha != gamma, a levy year inside the horizon, any
     schedule kind, explicit ones sometimes too short, now and then a budget
-    that cannot be solved), an axis and a grid with repeated and invalid
-    values."""
+    that cannot be solved, now and then no b0, so each point starts at its
+    own b_lambda), an axis and a grid with repeated and invalid values."""
     horizon = draw(st.integers(1, 25))
     unsolvable = draw(st.integers(0, 4)) == 0
     consumer = UNSOLVABLE if unsolvable else make_consumer(
@@ -1159,8 +1159,8 @@ def sweep_cases(draw):
         schedule = ExplicitSchedule(values=tuple(values))
     debt = DebtParams(r=draw(st.floats(0.0, 0.2)), d0=draw(st.floats(0.0, 1e4)),
                       schedule=schedule)
-    base = Scenario(consumer=consumer, debt=debt, horizon=horizon,
-                    b0=1e12 if unsolvable else draw(st.floats(1.0, 100.0)))
+    base = Scenario(consumer=consumer, debt=debt, horizon=horizon, b0=draw(
+        st.none() | (st.just(1e12) if unsolvable else st.floats(1.0, 100.0))))
     grid = draw(st.lists(AXIS_VALUES[axis], min_size=1, max_size=8))
     return base, axis, grid, draw(st.integers(1, horizon + 3))
 
@@ -1171,11 +1171,12 @@ def test_sweep_equals_per_point_simulate(case):
     assert_sweep_matches_simulate(*case)
 
 
+@pytest.mark.parametrize("b0", [18.0, None])
 @pytest.mark.parametrize("horizon", [12, 2000])
 @pytest.mark.parametrize("axis", SWEEP_AXES)
-def test_sweep_equals_per_point_simulate_on_failing_points(axis, horizon):
+def test_sweep_equals_per_point_simulate_on_failing_points(axis, horizon, b0):
     base = Scenario(consumer=make_consumer(alpha=0.3, gamma=0.1, m=2),
-                    debt=constant_debt(), b0=18.0, horizon=horizon)
+                    debt=constant_debt(), b0=b0, horizon=horizon)
     grid = {"alpha": [0.0, 0.25, 0.0, 1.5], "g0": [30.0, -1.0, 30.0],
             "r": [0.05, 0.9, 0.05], "D0": [0.0, 1e300, 0.0],
             "p_a": [100.0, 0.0, 100.0]}[axis]
@@ -1186,6 +1187,24 @@ def test_sweep_equals_per_point_simulate_on_failing_points(axis, horizon):
     if axis == "r" and horizon == 2000:
         assert "float range" in points[1].error
         assert points[1].final_debt is None and points[2].final_debt is not None
+
+
+def test_a_sweep_point_without_b0_starts_at_its_own_fixed_point():
+    # at p_a = 1e-300 this consumer's b_lambda underflows to 0; at 100 it is 7.7e-150
+    base = Scenario(consumer=make_consumer(a=1e300), debt=constant_debt(), horizon=10)
+    low, high = assert_sweep_matches_simulate(base, "p_a", [1e-300, 100.0], k=None)
+    assert low.error == "b_lambda must be finite and > 0, got 0.0"
+    assert low.final_debt is None and low.report is not None
+    assert high.error is None and format(high.final_debt, ".12g") == "37.1105373223"
+
+
+def test_a_short_schedule_is_reported_before_an_out_of_range_fixed_point():
+    scenario = Scenario(consumer=UNSOLVABLE, horizon=2,  # its b_lambda overflows
+                        debt=DebtParams(r=0.05, d0=100.0, schedule=ExplicitSchedule((30.0,))))
+    with pytest.raises(FixedPointOutOfRange):
+        simulate(replace(scenario, debt=constant_debt()))
+    with pytest.raises(ScheduleTooShort, match="year 2 requested"):
+        simulate(scenario)
 
 
 @pytest.mark.parametrize("values", [(30.0,) * 20, (30.0, 31.0, 33.0)])

@@ -361,7 +361,8 @@ def test_fixed_point_underflow_without_b0_exits_one(tmp_path, capsys):
     path.write_text(BASELINE.replace("p_a: 100.0", "p_a: 1.0e-300")
                     .replace("a: 0.15", "a: 1.0e+300").replace("b0: 18.0\n  ", ""))
     assert cli.main(["simulate", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: run.b0: ")
+    assert capsys.readouterr().err.startswith("error: b_lambda must be finite and > 0")
+    assert cli.main(["condition", str(path)]) == 0  # the condition reads no b0
 
 
 @pytest.mark.parametrize("argv", [
@@ -517,6 +518,9 @@ GOLDEN = {
     # two values for ten years: the ScheduleTooShort error holds a comma, so its cell is quoted
     "sweep_D0_short_explicit_k1.csv": ["sweep", "tests/data/short_explicit.yaml", "--axis", "D0",
                                        "--grid", "30,40", "-k", "1"],
+    # no b0: each point starts at its own b_lambda, so 0.4 reads simulate's -178.510477573
+    "sweep_alpha_default_b0.csv": ["sweep", "tests/data/baseline_default_b0.yaml",
+                                   "--axis", "alpha", "--grid", "0.25,0.4"],
 }
 
 

@@ -328,7 +328,7 @@ WRONG_TYPES = {"str": "x", "bool": True, "none": None, "list": [1.0]}
 @pytest.mark.parametrize("cls,name,value", [
     pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{label}")
     for cls, name in NUMERIC_FIELDS for label, value in WRONG_TYPES.items()
-    if (name, value) != ("m", None)  # m = None means no levy
+    if (name, value) not in (("m", None), ("b0", None))  # no levy; start at b_lambda
 ])
 def test_a_field_of_the_wrong_type_is_a_field_error(cls, name, value):
     with pytest.raises(FieldError) as excinfo:
