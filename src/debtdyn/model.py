@@ -298,11 +298,11 @@ class Scenario:
 
 def _floats(values, name: str) -> tuple:
     """Any sequence of numbers as a tuple of Python floats (an array converts
-    through one ``tolist()`` call); a str or bytes is not a sequence of numbers.
+    through one ``tolist()`` call); a str, bytes or non-iterable is not one.
     Each element is a float of any width (NaN and infinities included) or a
     number by `_number`'s kind rule; an element of another kind, or an int
     beyond the float range, raises FieldError naming it as ``name[i]``."""
-    if isinstance(values, (str, bytes)):
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
         raise FieldError(name, f"must be a sequence of numbers, got {type(values).__name__}")
     values = tuple(values.tolist() if isinstance(values, _numpy_type("ndarray")) else values)
     if set(map(type, values)) <= {float}:  # one pass; another kind goes element by element
@@ -328,11 +328,11 @@ def _array(name: str) -> cached_property:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """Per-year series of one simulation run.
+    """Per-year series of one simulation run, its years 0..K with K = ``scenario.horizon``.
 
     Each of ``b``, ``c``, ``tau``, ``delta`` and ``debt`` goes in as any
     sequence of numbers and is kept once, as a tuple of floats in the
-    read-only mapping ``series``; all share length K+1. The attribute of the
+    read-only mapping ``series``; each has K+1 entries. The attribute of the
     same name is a read-only float64 array of it, built on first read, so
     writing a trajectory never loads numpy. Index 0 holds the initial
     conditions (``b[0] = b0``, ``debt[0] = D0``) and NaN for the flows ``c``,
@@ -346,11 +346,9 @@ class Trajectory:
     def __init__(self, scenario: Scenario, b, c, tau, delta, debt):
         series = {name: _floats(values, name)  # insertion order is the file order
                   for name, values in zip(_SERIES, (b, c, tau, delta, debt))}
-        lengths = set(map(len, series.values()))
-        if len(lengths) != 1:
-            raise FieldError("series", f"lengths differ: {sorted(lengths)}")
-        if lengths == {0}:
-            raise FieldError("series", "must include the initial year")
+        years = scenario.horizon + 1  # each series holds the years 0..K; Scenario keeps K >= 1
+        for name, length in zip(series, map(len, series.values())):  # file order: first is named
+            _check(length == years, "series", f"{name} must have {years} entries", length)
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "series", MappingProxyType(series))
 
@@ -361,7 +359,7 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return len(next(iter(self.series.values()))) - 1
+        return self.scenario.horizon
 
     @property
     def years(self) -> np.ndarray:

@@ -1010,8 +1010,9 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
     ([0.05, 10 ** 400], "grid[1]", "must be finite, got inf"),
     ([-10 ** 400], "grid[0]", "must be finite, got -inf"),
     ("0.1", "grid", "must be a sequence of numbers, got str"),
+    (5, "grid", "must be a sequence of numbers, got int"),
 ], ids=["None", "str", "numeric-str", "bool", "numpy-bool", "Fraction", "+huge", "-huge",
-        "text"])
+        "text", "int"])
 def test_a_grid_element_that_is_not_a_number_stops_the_sweep_up_front(
         baseline_scenario, monkeypatch, grid, field, problem):
     years = counting_steps(monkeypatch)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from debtdyn import (
     ConstantSchedule,
     ExplicitSchedule,
+    FieldError,
     FixedPointOutOfRange,
     LinearSchedule,
     ParseError,
@@ -382,11 +383,14 @@ def test_csv_header_and_initial_row(baseline_scenario):
 
 
 def test_csv_zero_horizon_trajectory(baseline_scenario):
+    # a trajectory holds its scenario's years 0..K, K >= 1: a lone year-0 row is no trajectory
     nan = float("nan")
-    traj = Trajectory(scenario=baseline_scenario,
-                      b=np.array([18.0]), c=np.array([nan]), tau=np.array([nan]),
-                      delta=np.array([nan]), debt=np.array([100.0]))
-    assert write_trajectory(traj, format="csv") == "k,b,c,tau,delta,D\n0,18,,,,100\n"
+    with pytest.raises(FieldError) as excinfo:
+        Trajectory(scenario=baseline_scenario,
+                   b=np.array([18.0]), c=np.array([nan]), tau=np.array([nan]),
+                   delta=np.array([nan]), debt=np.array([100.0]))
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        "series", "b must have 11 entries, got 1")
 
 
 def test_csv_baseline_budget_near_20_by_year_5(baseline_scenario):
@@ -476,6 +480,26 @@ def test_json_round_trip_is_exact(baseline_scenario):
         assert np.array_equal(restored[1:], original[1:])
     assert back.scenario == traj.scenario
     assert write_trajectory(back, format="json") == text
+
+
+_BASELINE = load_scenario((ROOT / "scenarios" / "baseline.yaml").read_text())
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trajectories(draw):
+    """The baseline over 1 to 30 years: finite stocks, flows finite or NaN."""
+    scenario = replace(_BASELINE, horizon=draw(st.integers(1, 30)))
+    stock, flow = (st.lists(elements, min_size=scenario.horizon + 1,
+                            max_size=scenario.horizon + 1)
+                   for elements in (_FINITE, _FINITE | st.just(math.nan)))
+    return Trajectory(scenario, draw(stock), draw(flow), draw(flow), draw(flow), draw(stock))
+
+
+@given(_trajectories())
+def test_any_trajectory_s_json_round_trips_byte_for_byte(traj):
+    text = write_trajectory(traj, format="json")
+    assert write_trajectory(read_trajectory(text), format="json") == text
 
 
 # A flow is NaN in year 0, so only a float series holds one: int stocks get float flows.

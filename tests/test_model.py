@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 from types import MappingProxyType
 
 import numpy as np
@@ -421,8 +422,8 @@ def test_a_complex_value_is_not_a_number(value):
 
 
 @pytest.mark.parametrize("lengths,problem", [
-    ((11, 11, 11, 11, 10), "lengths differ: [10, 11]"),
-    ((0, 0, 0, 0, 0), "must include the initial year"),
+    ((11, 11, 11, 11, 10), "debt must have 11 entries, got 10"),
+    ((0, 0, 0, 0, 0), "b must have 11 entries, got 0"),
 ])
 def test_trajectory_series_must_share_a_nonempty_length(lengths, problem):
     scenario = Scenario(consumer=make_consumer(), debt=BASELINE_DEBT, b0=18.0, horizon=10)
@@ -432,9 +433,22 @@ def test_trajectory_series_must_share_a_nonempty_length(lengths, problem):
     assert (excinfo.value.field, excinfo.value.problem) == ("series", problem)
 
 
-@pytest.mark.parametrize("text", ["12", b"12"], ids=["str", "bytes"])
+def test_a_trajectory_spans_its_scenario_s_years(baseline_scenario):
+    # two rows on a 10-year scenario would write "k": [0, 1] under run.horizon: 10
+    flows = [float("nan"), 1.0]
+    with pytest.raises(FieldError) as excinfo:
+        Trajectory(scenario=baseline_scenario, b=[1.0, 2.0], c=flows, tau=flows,
+                   delta=flows, debt=[1.0, 2.0])
+    assert (excinfo.value.field, excinfo.value.problem) == (
+        "series", "b must have 11 entries, got 2")
+    traj = Trajectory(scenario=replace(baseline_scenario, horizon=1), b=[1.0, 2.0],
+                      c=flows, tau=flows, delta=flows, debt=[1.0, 2.0])
+    assert traj.horizon == 1 and list(traj.years) == [0, 1]
+
+
+@pytest.mark.parametrize("text", ["12", b"12", 5, None], ids=["str", "bytes", "int", "None"])
 def test_a_trajectory_series_given_as_text_is_rejected(baseline_scenario, text):
-    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50
+    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50; 5 or None is no sequence
     flows = [float("nan"), 5.0]
     with pytest.raises(FieldError) as excinfo:
         Trajectory(scenario=baseline_scenario, b=text, c=flows, tau=flows, delta=flows,
@@ -450,7 +464,7 @@ def trajectory_with(scenario, name, values):
     """A one-year trajectory whose series ``name`` is ``values``."""
     series = dict(b=[18.0, 19.0], c=[float("nan"), 5.0], tau=[float("nan"), 5.0],
                   delta=[float("nan"), 25.0], debt=[100.0, 130.0])
-    return Trajectory(scenario, **{**series, name: values})
+    return Trajectory(replace(scenario, horizon=1), **{**series, name: values})
 
 
 @pytest.mark.parametrize("name", SERIES)
