@@ -72,7 +72,7 @@ class DebtNotFinite(ModelError):
 
 
 class HorizonOutOfRange(ModelError):
-    """A horizon too long for a list of its years."""
+    """A horizon too long for a list of its years, or for memory to hold that list."""
 
 
 class ConditionNotFinite(ModelError):
@@ -121,11 +121,14 @@ def fixed_point(params: ConsumerParams) -> FixedPoint:
 
 def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> list:
     """g_1..g_K; ScheduleTooShort names the first year an explicit one lacks."""
-    if horizon > sys.maxsize:
+    if horizon > sys.maxsize:  # a linear schedule's list would grow until memory ran out
         raise HorizonOutOfRange(f"horizon {horizon} has more years than a list can hold")
-    if isinstance(schedule, ConstantSchedule):
-        return [schedule.g0] * horizon
-    return list(map(schedule.value_at, range(1, horizon + 1)))
+    try:
+        if isinstance(schedule, ConstantSchedule):
+            return [schedule.g0] * horizon
+        return list(map(schedule.value_at, range(1, horizon + 1)))
+    except MemoryError:
+        raise HorizonOutOfRange(f"horizon {horizon} has more years than memory can hold") from None
 
 
 def _budget_path(consumer: ConsumerParams, b0: float,
@@ -410,8 +413,8 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
     _condition_year(base.debt, k)
     grid = _floats(grid, "grid")  # NaN and infinities pass here and fail at their point
 
-    budget_path = lru_cache(maxsize=None)(_budget_path)  # the points' one memo; keeps no failure
-
+    # r, D0 and g0 points share the base's consumer; a consumer axis gives each its own
+    budget_path = lru_cache(maxsize=1)(_budget_path)  # so it holds one path; keeps no failure
     points = []
     for value in grid:
         report, final_debt, errors = None, None, []

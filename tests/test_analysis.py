@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, tee
@@ -140,7 +141,7 @@ def test_debt_overflow_is_a_named_error(baseline_scenario):
     scenario = overflowing(baseline_scenario)
     with pytest.raises(DebtNotFinite, match="float range in year"):
         simulate(scenario)
-    with pytest.raises(DebtNotFinite):
+    with pytest.raises(DebtNotFinite, match="float range in year 1085 "):
         debt_closed_form(scenario.debt, scenario.consumer, scenario.horizon)
     # zero drift from zero debt: the recursion and the closed form both stay
     # at 0, although (1+r)**k leaves the float range
@@ -187,6 +188,14 @@ def test_general_closed_form_two_step_oracle():
     debt = DebtParams(r=0.05, d0=0.0, schedule=ConstantSchedule(g0=0.0))
     out = debt_closed_form_general(debt, [1.0, 1.0])
     assert out[1] == pytest.approx(2.05, rel=1e-12)
+
+
+def test_a_closed_form_debt_that_overflows_and_returns_is_a_named_error():
+    # each year is D0 plus a running sum that can fall again, so year 1 overflows
+    # (1e308 + 1e308) while year 2 (1e308 + 0.5e308) is finite: every year is tested
+    debt = DebtParams(r=0.0, d0=1e308, schedule=ConstantSchedule(g0=0.0))
+    with pytest.raises(DebtNotFinite, match=r"float range in year 1 \(D = inf\)"):
+        debt_closed_form_general(debt, [1e308, -0.5e308])
 
 
 def test_general_closed_form_reproduces_baseline_recursion(baseline_scenario):
@@ -893,11 +902,31 @@ def test_a_sweep_that_keeps_the_consumer_solves_one_budget_path(baseline_scenari
     assert len(years) == once > 1
 
 
-def test_an_alpha_sweep_solves_one_budget_path_per_distinct_value(baseline_scenario,
-                                                                 monkeypatch):
-    grid = [0.1, 0.25, 0.1, 0.4, 0.25, 0.1]
+def traced_peak(run) -> int:
+    """The peak of the memory Python allocates while ``run()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_one_budget_path(baseline_scenario):
+    # every point of a consumer axis has its own path; a sweep that kept them all
+    # would need 40 paths of 3 * 5,001 entries here
+    base = replace(baseline_scenario, horizon=5_000, debt=constant_debt(r=0.0))
+    sweep(base, "alpha", [0.1])  # anything allocated once is allocated before tracing
+    one = traced_peak(lambda: sweep(base, "alpha", [0.1]))
+    forty = traced_peak(lambda: sweep(base, "alpha", np.linspace(0.1, 0.4, 40)))
+    assert forty < 3 * one
+
+
+def test_an_alpha_sweep_solves_one_budget_path_per_run_of_equal_values(baseline_scenario,
+                                                                      monkeypatch):
+    grid = [0.1, 0.1, 0.25, 0.1]
     years = counting_steps(monkeypatch)
-    for alpha in sorted(set(grid)):
+    for alpha in (0.1, 0.25, 0.1):
         simulate(replace_with_value(baseline_scenario, "alpha", alpha))
     want = len(years)
     years.clear()
@@ -1011,8 +1040,9 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
     ([-10 ** 400], "grid[0]", "must be finite, got -inf"),
     ("0.1", "grid", "must be a sequence of numbers, got str"),
     (5, "grid", "must be a sequence of numbers, got int"),
+    (np.array(0.05), "grid", "must be a sequence of numbers, got float"),
 ], ids=["None", "str", "numeric-str", "bool", "numpy-bool", "Fraction", "+huge", "-huge",
-        "text", "int"])
+        "text", "int", "0-d-array"])
 def test_a_grid_element_that_is_not_a_number_stops_the_sweep_up_front(
         baseline_scenario, monkeypatch, grid, field, problem):
     years = counting_steps(monkeypatch)

@@ -275,23 +275,31 @@ def test_a_missing_year_is_misuse_before_any_regime_error(tmp_path, capsys, argv
 # error handling
 # ---------------------------------------------------------------------------
 
-HORIZON_ERROR = "horizon 10{29} has more years than a list can hold"
+# 10**29 is above sys.maxsize; 10**17 is not, but its year list (8e17 bytes) exceeds any
+# 64-bit address space, so its allocation fails at once without using memory
+HORIZON_ERRORS = [(10**29, "horizon 10{29} has more years than a list can hold"),
+                  (10**17, "horizon 10{17} has more years than memory can hold")]
 
 
-@pytest.mark.parametrize("command", ["simulate", "closed-form"])
-def test_a_horizon_beyond_the_index_range_is_a_model_error(tmp_path, capsys, command):
-    path = write_variant(tmp_path, "long.yaml", "horizon: 10", f"horizon: {10**29}")
+@pytest.mark.parametrize("command,horizon,message", [
+    (command, *case) for case in HORIZON_ERRORS for command in ("simulate", "closed-form")],
+    ids=["simulate", "closed-form", "simulate-1e17", "closed-form-1e17"])
+def test_a_horizon_beyond_the_index_range_is_a_model_error(tmp_path, capsys, command,
+                                                           horizon, message):
+    path = write_variant(tmp_path, "long.yaml", "horizon: 10", f"horizon: {horizon}")
     assert cli.main([command, path]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and re.fullmatch(f"error: {HORIZON_ERROR}\n", err)
+    assert out == "" and re.fullmatch(f"error: {message}\n", err)
 
 
-def test_a_sweep_over_a_horizon_beyond_the_index_range_fails_each_row(tmp_path, capsys):
-    path = write_variant(tmp_path, "long.yaml", "horizon: 10", f"horizon: {10**29}")
+@pytest.mark.parametrize("horizon,message", HORIZON_ERRORS, ids=["1e29", "1e17"])
+def test_a_sweep_over_a_horizon_beyond_the_index_range_fails_each_row(tmp_path, capsys,
+                                                                      horizon, message):
+    path = write_variant(tmp_path, "long.yaml", "horizon: 10", f"horizon: {horizon}")
     assert cli.main(["sweep", path, "--axis", "r", "--grid", "0,0.05", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["final_D"] for row in rows] == [None, None]
-    assert all(re.fullmatch(HORIZON_ERROR, row["error"]) for row in rows)
+    assert all(re.fullmatch(message, row["error"]) for row in rows)
     assert [row["holds"] for row in rows] == [True, True]  # the condition needs no horizon
 
 def test_missing_scenario_file_exits_one(capsys):

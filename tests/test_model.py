@@ -446,15 +446,18 @@ def test_a_trajectory_spans_its_scenario_s_years(baseline_scenario):
     assert traj.horizon == 1 and list(traj.years) == [0, 1]
 
 
-@pytest.mark.parametrize("text", ["12", b"12", 5, None], ids=["str", "bytes", "int", "None"])
+@pytest.mark.parametrize("text", ["12", b"12", 5, None, np.array(5.0)],
+                         ids=["str", "bytes", "int", "None", "0-d-array"])
 def test_a_trajectory_series_given_as_text_is_rejected(baseline_scenario, text):
-    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50; 5 or None is no sequence
+    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50; 5, None or a 0-d
+    # array (one float) is no sequence
     flows = [float("nan"), 5.0]
     with pytest.raises(FieldError) as excinfo:
         Trajectory(scenario=baseline_scenario, b=text, c=flows, tau=flows, delta=flows,
                    debt=[100.0, 105.0])
     assert excinfo.value.field == "b"
-    assert excinfo.value.problem == f"must be a sequence of numbers, got {type(text).__name__}"
+    kind = type(text.tolist() if isinstance(text, np.ndarray) else text).__name__
+    assert excinfo.value.problem == f"must be a sequence of numbers, got {kind}"
 
 
 SERIES = ("b", "c", "tau", "delta", "debt")
