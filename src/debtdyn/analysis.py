@@ -24,6 +24,7 @@ from .model import (
     DebtParams,
     ExpenditureSchedule,
     ExplicitSchedule,
+    FieldError,
     LinearSchedule,
     ModelError,
     Scenario,
@@ -240,7 +241,7 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
 
 def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
     if consumer.beta != 0.0 and consumer.m is not None:
-        raise RegimeError(f"{what} requires beta = 0, got beta = {consumer.beta:g}")
+        raise RegimeError(f"{what} requires beta = 0, got beta = {consumer.beta!r}")
 
 
 def _fixed_point_surplus(consumer: ConsumerParams) -> float:
@@ -361,9 +362,6 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("alpha", "g0", "r", "D0", "p_a")
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One grid entry: condition report and terminal simulated debt.
@@ -378,22 +376,18 @@ class SweepPoint:
     error: str | None
 
 
-def _with_value(base: Scenario, axis: str, value: float) -> tuple[ConsumerParams, DebtParams]:
-    """``base``'s consumer and debt with ``axis`` at ``value``; each changed type
-    is checked by its constructor. No axis moves b0 (None: the point's own
-    b_lambda) or the horizon."""
-    c, d = base.consumer, base.debt
-    if axis == "alpha":  # the paper's one tax rate on income and consumption
-        c = ConsumerParams(c.p_a, value, c.beta, value, c.law, c.m)
-    elif axis == "p_a":
-        c = ConsumerParams(value, c.alpha, c.beta, c.gamma, c.law, c.m)
-    elif axis == "r":
-        d = DebtParams(value, d.d0, d.schedule)
-    elif axis == "D0":
-        d = DebtParams(d.r, value, d.schedule)
-    else:
-        d = DebtParams(d.r, d.d0, ConstantSchedule(value))
-    return c, d
+# Sweep axis -> (consumer, debt, value) -> the point's consumer and debt; each
+# changed type is checked by its constructor, which raises only FieldError. No
+# axis moves b0 (None: the point's own b_lambda) or the horizon.
+_AXES = {
+    # the paper's one tax rate on income and consumption
+    "alpha": lambda c, d, v: (ConsumerParams(c.p_a, v, c.beta, v, c.law, c.m), d),
+    "g0": lambda c, d, v: (c, DebtParams(d.r, d.d0, ConstantSchedule(v))),
+    "r": lambda c, d, v: (c, DebtParams(v, d.d0, d.schedule)),
+    "D0": lambda c, d, v: (c, DebtParams(d.r, v, d.schedule)),
+    "p_a": lambda c, d, v: (ConsumerParams(v, c.alpha, c.beta, c.gamma, c.law, c.m), d),
+}
+SWEEP_AXES = tuple(_AXES)
 
 
 def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPoint]:
@@ -419,8 +413,8 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
     for value in grid:
         report, final_debt, errors = None, None, []
         try:
-            consumer, debt = _with_value(base, axis, value)
-        except (ModelError, ValueError) as exc:
+            consumer, debt = _AXES[axis](base.consumer, base.debt, value)
+        except FieldError as exc:
             points.append(SweepPoint(value, None, None, str(exc)))
             continue
         try:

@@ -19,11 +19,11 @@ Scenario files are YAML documents with three sections::
       b0: 18.0             # optional; absent, the budget starts at the consumer's fixed point
       horizon: 10
 
-Unknown keys are rejected at every level so typos fail loudly. This module
-checks only what a mapping can get wrong: its shape and its keys, missing
-and unknown. Every field rule (number or integer, finite, in range) is the
-model types'; `_build` maps a section's keys onto a type's fields and
-restates the type's field error under the file path of the field.
+Unknown and repeated keys are rejected at every level so typos fail loudly.
+This module checks only what a mapping can get wrong: its shape and its keys,
+missing, unknown and repeated. Every field rule (number or integer, finite,
+in range) is the model types'; `_build` maps a section's keys onto a type's
+fields and restates the type's field error under the file path of the field.
 
 Every text output is written by one of three writers: `write_table` (CSV),
 `write_record` (``key = value`` lines) and `write_json` (indented JSON).
@@ -183,6 +183,21 @@ class _PURE_LOADER(yaml.SafeLoader):
     """`_LOADER`'s schema in pure Python, whose syntax errors quote the line."""
 
 
+def _construct_mapping(loader, node, deep=False):
+    """PyYAML's mapping, which keeps the last value of a repeated key, refusing a
+    key the mapping lists twice; a key a ``<<`` merge brings in may be given again.
+    Only scalar keys are compared: PyYAML refuses a collection key as unhashable."""
+    keys = set()
+    for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+        if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+            if (key := loader.construct_object(key_node)) in keys:  # cached per node
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            keys.add(key)
+    return yaml.constructor.SafeConstructor.construct_mapping(loader, node, deep)
+
+
 # PyYAML reads YAML 1.1, where a float needs a '.' and a signed exponent, so
 # 5e-2 and 1e6 would be strings. Both readers resolve YAML 1.2's exponent form
 # (without underscores) after every other resolver. A subclass copies the
@@ -190,6 +205,7 @@ class _PURE_LOADER(yaml.SafeLoader):
 for _loader in (_LOADER, _PURE_LOADER):
     _loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
         r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+    _loader.construct_mapping = _construct_mapping
 
 
 def load_scenario(document: str | bytes) -> Scenario:

@@ -200,7 +200,7 @@ def test_criterion_8_io_contract():
     with criterion(8, "golden CSV stability, exact JSON round trip, malformed corpus"):
         scenario = load_scenario((DATA / "baseline.yaml").read_text())
 
-        golden = (DATA / "baseline_golden.csv").read_bytes()
+        golden = (DATA / "golden" / "simulate_baseline.csv").read_bytes()
         first = write_trajectory(simulate(scenario), format="csv").encode()
         second = write_trajectory(simulate(scenario), format="csv").encode()
         assert first == golden and second == golden

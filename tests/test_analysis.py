@@ -43,7 +43,7 @@ from debtdyn import (
     sweep,
 )
 from debtdyn import analysis
-from debtdyn.analysis import _budget_path, _with_value
+from debtdyn.analysis import _AXES, _budget_path
 from debtdyn.model import (
     _MAX_ITER,
     _STEP_RTOL,
@@ -275,6 +275,15 @@ def test_fixed_point_closed_form_guards():
         debt_closed_form(constant_debt(), make_consumer(beta=0.1, m=1), 1)
     # unequal rates: the intake is (0.2 + 0.25) * 100 / 1.25 = 36, so D_1 = 105 + 30 - 36
     assert debt_closed_form(constant_debt(), make_consumer(alpha=0.2), 1).tolist() == [99.0]
+
+
+def test_a_regime_error_states_beta_exactly():
+    consumer = make_consumer(beta=0.123456789, m=1)
+    with pytest.raises(RegimeError, match=r"^the decrease condition requires beta = 0, "
+                                          r"got beta = 0\.123456789$"):
+        decrease_condition(consumer, constant_debt())
+    with pytest.raises(RegimeError, match=r"got beta = 0\.123456789$"):
+        debt_closed_form(constant_debt(), consumer, 1)
 
 
 def constant_closed_form(debt, consumer, k):
@@ -1072,7 +1081,7 @@ def test_numpy_and_int_grid_values_sweep_as_floats(baseline_scenario, grid):
 
 
 def replace_with_value(base, axis, value):
-    """The scenario whose consumer and debt `_with_value` must return, through
+    """The scenario whose consumer and debt `_AXES[axis]` must return, through
     `dataclasses.replace`."""
     if axis == "alpha":
         return replace(base, consumer=replace(base.consumer, alpha=value, gamma=value))
@@ -1106,10 +1115,10 @@ def test_with_value_builds_what_replace_builds(axis, kind, m):
             want = replace_with_value(base, axis, value)
         except (ModelError, ValueError) as exc:
             with pytest.raises((ModelError, ValueError)) as raised:
-                _with_value(base, axis, value)
+                _AXES[axis](base.consumer, base.debt, value)
             assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
             continue
-        got, want = _with_value(base, axis, value), (want.consumer, want.debt)
+        got, want = _AXES[axis](base.consumer, base.debt, value), (want.consumer, want.debt)
         assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
 

@@ -364,6 +364,14 @@ def test_a_value_the_yaml_reader_cannot_build_exits_one(tmp_path, capsys, value)
     assert out == "" and err.startswith("error: malformed scenario document: ")
 
 
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data" / "malformed")
+                                         .glob("*.yaml")), ids=lambda path: path.name)
+def test_every_malformed_corpus_file_exits_one(path, capsys):
+    assert cli.main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_fixed_point_underflow_without_b0_exits_one(tmp_path, capsys):
     path = tmp_path / "tiny.yaml"
     path.write_text(BASELINE.replace("p_a: 100.0", "p_a: 1.0e-300")
@@ -529,6 +537,7 @@ GOLDEN = {
     # no b0: each point starts at its own b_lambda, so 0.4 reads simulate's -178.510477573
     "sweep_alpha_default_b0.csv": ["sweep", "tests/data/baseline_default_b0.yaml",
                                    "--axis", "alpha", "--grid", "0.25,0.4"],
+    "simulate_baseline.csv": ["simulate", "tests/data/baseline.yaml"],
 }
 
 
@@ -536,4 +545,13 @@ GOLDEN = {
 def test_output_matches_golden_file_byte_for_byte(name, capsys):
     command, scenario, *rest = GOLDEN[name]
     assert cli.main([command, str(REPO / scenario), *rest]) == 0
-    assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    if name.endswith(".json"):
+        strict_json(golden)
+
+
+def test_every_golden_file_is_checked():
+    # scenario_faults.txt is tests/test_io.py's; CI runs every GOLDEN entry
+    names = {path.name for path in GOLDEN_DIR.iterdir()}
+    assert names == {*GOLDEN, "scenario_faults.txt"}

@@ -1,7 +1,7 @@
 """numpy is imported only by what returns arrays: the public closed forms,
 `Trajectory.years` and the first read of a trajectory's array attributes
 (``traj.b`` and the like). Each case runs in a fresh interpreter and reports
-whether numpy got loaded."""
+whether numpy got loaded. One more fresh interpreter runs ``python -m debtdyn``."""
 
 import os
 import subprocess
@@ -16,15 +16,26 @@ RUN_CLI = "import contextlib, io\nfrom debtdyn.cli import main\n" \
           "with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
 
 
-def numpy_loaded_after(code: str) -> bool:
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports debtdyn from src, run in the repository root."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    script = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def numpy_loaded_after(code: str) -> bool:
+    proc = run_python("-c", code + "\nimport sys\nprint('numpy' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_the_package_runs_as_a_module():
+    proc = run_python("-m", "debtdyn", "fixed-point", BASELINE)
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "data" / "golden" / "fixed_point_baseline.txt"
+    assert proc.stdout == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("code", [

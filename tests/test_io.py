@@ -159,6 +159,40 @@ def test_both_readers_resolve_the_exponent_forms_alike(loader):
         list(map(repr, EXPONENT_FORMS.values()))
 
 
+# level -> (a line of scenarios/baseline.yaml, the line that repeats its key, the
+# key, the repeat's line number); PyYAML alone would keep the second value
+REPEATED_KEYS = {
+    "top": ("run:\n", "debt: {}\n", "debt", 15),
+    "consumer": ("  alpha: 0.25\n", "  alpha: 0.9\n", "alpha", 4),
+    "law": ("    n: 2\n", "    n: 3\n", "n", 9),
+    "debt": ("  r: 0.05\n", "  r: 0.5\n", "r", 11),
+    "schedule": ("    g0: 30.0\n", "    g0: 31.0\n", "g0", 15),
+    "run": ("  horizon: 10\n", "  horizon: 20\n", "horizon", 18),
+}
+
+
+@pytest.mark.parametrize("level", REPEATED_KEYS)
+def test_a_repeated_key_is_refused_at_every_level(level):
+    line, repeat, key, number = REPEATED_KEYS[level]
+    assert BASELINE_TEXT.count(line) == 1
+    # the top-level repeat goes before its line, every other one after
+    text = BASELINE_TEXT.replace(line, repeat + line if level == "top" else line + repeat)
+    for loader in (io._LOADER, io._PURE_LOADER):
+        with pytest.raises(yaml.constructor.ConstructorError):
+            yaml.load(text, Loader=loader)
+    with pytest.raises(ParseError) as excinfo:
+        load_scenario(text)
+    message = str(excinfo.value)
+    assert message.startswith("malformed scenario document: while constructing a mapping")
+    assert f"found duplicate key {key!r}\n  in \"<unicode string>\", line {number}, " in message
+
+
+def test_a_key_a_merge_brings_in_may_be_given_again():
+    text = BASELINE_TEXT.replace("    a: 0.15\n    n: 2\n",
+                                 "    <<: {a: 0.15, n: 3}\n    n: 2\n")
+    assert "<<" in text and load_scenario(text) == load_scenario(BASELINE_TEXT)
+
+
 @pytest.mark.parametrize("snippet,fragment", [
     ("run: {horizon: 10, b0: 0.0}", "run.b0"),
     ("run: {horizon: 0}", "run.horizon"),
@@ -407,7 +441,7 @@ def test_csv_uses_12_significant_digits(baseline_scenario):
 
 
 def test_csv_matches_golden_file(data_dir, baseline_scenario):
-    golden = (data_dir / "baseline_golden.csv").read_bytes()
+    golden = (data_dir / "golden" / "simulate_baseline.csv").read_bytes()
     produced = write_trajectory(simulate(baseline_scenario), format="csv").encode()
     assert produced == golden
 
@@ -468,8 +502,13 @@ def test_unknown_format_rejected(baseline_scenario):
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-def test_json_round_trip_is_exact(baseline_scenario):
-    traj = simulate(baseline_scenario)
+# tests/data/baseline.yaml is the baseline_scenario fixture; the other file leaves b0 out
+ROUND_TRIP_FILES = ["baseline.yaml", "baseline_default_b0.yaml"]
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_FILES)
+def test_json_round_trip_is_exact(data_dir, name):
+    traj = simulate(load_scenario((data_dir / name).read_text()))
     text = write_trajectory(traj, format="json")
     back = read_trajectory(text)
     assert np.array_equal(back.b, traj.b)
@@ -538,9 +577,14 @@ def test_json_refuses_an_infinity_that_read_trajectory_would_refuse(baseline_sce
         read_trajectory(json.dumps(doc))
 
 
-def test_json_embeds_the_scenario_echo(baseline_scenario):
-    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
-    assert doc["scenario"] == scenario_to_dict(baseline_scenario)
+@pytest.mark.parametrize("name,run", zip(ROUND_TRIP_FILES,
+                                         [{"b0": 18.0, "horizon": 10}, {"horizon": 10}]),
+                         ids=ROUND_TRIP_FILES)
+def test_json_embeds_the_scenario_echo(data_dir, name, run):
+    scenario = load_scenario((data_dir / name).read_text())
+    doc = json.loads(write_trajectory(simulate(scenario), format="json"))
+    assert doc["scenario"] == scenario_to_dict(scenario)
+    assert doc["scenario"]["run"] == run  # the echo says what the file said
     assert doc["k"] == list(range(11))
     assert doc["c"][0] is None and doc["tau"][0] is None and doc["delta"][0] is None
 
