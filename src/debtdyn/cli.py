@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, io
@@ -66,7 +65,7 @@ def cmd_closed_form(scenario, args) -> str:
 
 def cmd_condition(scenario, args) -> str:
     report = analysis.decrease_condition(scenario.consumer, scenario.debt, args.year)
-    fields = asdict(report)  # declared in printed order; the regime is a str enum
+    fields = vars(report)  # declared in printed order; the regime is a str enum
     if args.format == "json":
         return io.write_json(fields)
     verdict = ("debt decreases steadily" if report.holds
@@ -77,7 +76,7 @@ def cmd_condition(scenario, args) -> str:
 
 
 def cmd_fixed_point(scenario, args) -> str:
-    doc = {"b_lambda": analysis.fixed_point(scenario.consumer).b_lambda}
+    doc = vars(analysis.fixed_point(scenario.consumer))
     return io.write_json(doc) if args.format == "json" else io.write_record(doc)
 
 
@@ -85,14 +84,9 @@ _SWEEP_COLUMNS = ("value", "lhs", "rhs", "margin", "holds", "final_D", "error")
 
 
 def cmd_sweep(scenario, args) -> str:
-    rows = []
-    for p in analysis.sweep(scenario, args.axis, args.grid, k=args.year):
-        row = {"value": p.value, "final_D": p.final_debt, "error": p.error}
-        report = p.report
-        if report is not None:
-            row.update(lhs=report.lhs, rhs=report.rhs, margin=report.margin,
-                       holds=report.holds, regime=report.regime)
-        rows.append(row)
+    rows = [{"value": p.value, **(vars(p.report) if p.report else {}),
+             "final_D": p.final_debt, "error": p.error}
+            for p in analysis.sweep(scenario, args.axis, args.grid, k=args.year)]
     if args.format == "json":
         return io.write_json(rows)
     return io.write_table(_SWEEP_COLUMNS, (map(row.get, _SWEEP_COLUMNS) for row in rows))

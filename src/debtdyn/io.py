@@ -113,6 +113,7 @@ _SCHEDULE_KINDS = {
     "linear": LinearSchedule,
     "explicit": ExplicitSchedule,
 }
+_KINDS = {cls: kind for kind, cls in _SCHEDULE_KINDS.items()}  # a schedule type's file kind
 
 # Model type -> (field, file key, optional: its default is None) of each field.
 _FIELDS = {cls: tuple((f.name, _FILE_KEYS.get(f.name, f.name), f.default is None)
@@ -229,12 +230,14 @@ def load_scenario(document: str | bytes) -> Scenario:
 
 
 def _as_doc(value) -> dict:
-    """A model value's fields under their file keys; unset optional fields
-    are left out and tuples become lists."""
-    doc = {}
+    """A model value's fields under their file keys, a schedule's kind first;
+    a nested model value recurses, unset optional fields go, tuples become lists."""
+    doc = {"kind": _KINDS[type(value)]} if type(value) in _KINDS else {}
     for name, key, _ in _FIELDS[type(value)]:
         item = getattr(value, name)
-        if item is not None:
+        if type(item) in _FIELDS:
+            doc[key] = _as_doc(item)
+        elif item is not None:
             doc[key] = list(item) if isinstance(item, tuple) else item
     return doc
 
@@ -242,15 +245,9 @@ def _as_doc(value) -> dict:
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Scenario as a plain mapping in the file schema (inverse of loading);
     a b0 of None is left out, as the file left it out."""
-    consumer, debt = scenario.consumer, scenario.debt
-    kind = next(kind for kind, cls in _SCHEDULE_KINDS.items()
-                if isinstance(debt.schedule, cls))
     run = {"b0": scenario.b0, "horizon": scenario.horizon}
-    return {
-        "consumer": {**_as_doc(consumer), "law": _as_doc(consumer.law)},
-        "debt": {**_as_doc(debt), "schedule": {"kind": kind, **_as_doc(debt.schedule)}},
-        "run": {key: value for key, value in run.items() if value is not None},
-    }
+    return {"consumer": _as_doc(scenario.consumer), "debt": _as_doc(scenario.debt),
+            "run": {key: value for key, value in run.items() if value is not None}}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -297,13 +298,14 @@ class Scenario:
 
 
 def _floats(values, name: str) -> tuple:
-    """Any sequence of numbers as a tuple of Python floats (an array, 0-d too,
-    converts through one ``tolist()`` call); a str, bytes or non-iterable is not one.
-    Each element is a float of any width (NaN and infinities included) or a
-    number by `_number`'s kind rule; an element of another kind, or an int
-    beyond the float range, raises FieldError naming it as ``name[i]``."""
+    """Any sequence of numbers as a tuple of Python floats (an array, 0-d too, converts
+    through one ``tolist()`` call); a str, bytes, bytearray, set, mapping or non-iterable
+    is not one. Each element is a float of any width (NaN and infinities included) or a
+    number by `_number`'s kind rule; an element of another kind, or an int beyond the
+    float range, raises FieldError naming it as ``name[i]``."""
     values = values.tolist() if isinstance(values, _numpy_type("ndarray")) else values
-    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+    if isinstance(values, (str, bytes, bytearray, Set, Mapping)) \
+            or not hasattr(values, "__iter__"):
         raise FieldError(name, f"must be a sequence of numbers, got {type(values).__name__}")
     values = tuple(values)
     if set(map(type, values)) <= {float}:  # one pass; another kind goes element by element

@@ -34,6 +34,12 @@ MALFORMED = {
 }
 
 
+def make_consumer(alpha=0.25, beta=0.0, gamma=0.25, p_a=100.0, a=0.15, n=2, m=None):
+    """The baseline consumer, with any parameter replaced."""
+    return ConsumerParams(p_a=p_a, alpha=alpha, beta=beta, gamma=gamma,
+                          law=ConsumptionLaw(a=a, n=n), m=m)
+
+
 def quad_root(coeff: float, slope: float, rhs: float) -> float:
     """Positive root of coeff*x**2 + slope*x - rhs via the quadratic formula.
 

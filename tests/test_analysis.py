@@ -52,14 +52,9 @@ from debtdyn.model import (
     tax,
 )
 from debtdyn.io import load_scenario
-from helpers import quad_root, random_general_scenario
+from helpers import make_consumer, quad_root, random_general_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
-
-
-def make_consumer(alpha=0.25, beta=0.0, gamma=0.25, p_a=100.0, a=0.15, n=2, m=None):
-    return ConsumerParams(p_a=p_a, alpha=alpha, beta=beta, gamma=gamma,
-                          law=ConsumptionLaw(a=a, n=n), m=m)
 
 
 def constant_debt(r=0.05, d0=100.0, g0=30.0):
@@ -1050,8 +1045,11 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
     ("0.1", "grid", "must be a sequence of numbers, got str"),
     (5, "grid", "must be a sequence of numbers, got int"),
     (np.array(0.05), "grid", "must be a sequence of numbers, got float"),
+    ({0.1, 0.2}, "grid", "must be a sequence of numbers, got set"),
+    ({0.1: 1.0}, "grid", "must be a sequence of numbers, got dict"),
+    (bytearray(b"12"), "grid", "must be a sequence of numbers, got bytearray"),
 ], ids=["None", "str", "numeric-str", "bool", "numpy-bool", "Fraction", "+huge", "-huge",
-        "text", "int", "0-d-array"])
+        "text", "int", "0-d-array", "set", "mapping", "bytearray"])
 def test_a_grid_element_that_is_not_a_number_stops_the_sweep_up_front(
         baseline_scenario, monkeypatch, grid, field, problem):
     years = counting_steps(monkeypatch)

@@ -5,11 +5,13 @@ import csv
 import json
 import math
 import re
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
-from debtdyn import cli, load_scenario, sweep
+from debtdyn import ConditionReport, cli, decrease_condition, load_scenario, sweep
+from debtdyn.io import write_json
 
 BASELINE = """
 consumer:
@@ -555,3 +557,18 @@ def test_every_golden_file_is_checked():
     # scenario_faults.txt is tests/test_io.py's; CI runs every GOLDEN entry
     names = {path.name for path in GOLDEN_DIR.iterdir()}
     assert names == {*GOLDEN, "scenario_faults.txt"}
+
+
+def test_a_sweep_json_row_is_its_points_condition_report(capsys):
+    # the field names come from the report type, so a new field needs no edit here
+    command, scenario, *rest = GOLDEN["sweep_D0_linear_k5.json"]
+    assert cli.main([command, str(REPO / scenario), *rest]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    base = load_scenario((REPO / scenario).read_bytes())
+    names = [f.name for f in fields(ConditionReport)]
+    assert [list(row) for row in rows[:1]] == [["value", "final_D", "error"]]  # D0 = -1
+    for row in rows[1:]:
+        assert list(row) == ["value", *names, "final_D", "error"]
+        report = decrease_condition(base.consumer, replace(base.debt, d0=row["value"]), 5)
+        assert {name: row[name] for name in names} == json.loads(write_json(asdict(report)))
+    assert rows[2]["value"] == 50.0 and rows[2]["holds"] and rows[2]["rhs_limit"] == 52.5

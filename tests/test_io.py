@@ -589,9 +589,11 @@ def test_json_embeds_the_scenario_echo(data_dir, name, run):
     assert doc["c"][0] is None and doc["tau"][0] is None and doc["delta"][0] is None
 
 
-def test_scenario_dict_round_trips_through_the_loader(data_dir):
-    import yaml
-    s = load_scenario((data_dir / "wealth_tax.yaml").read_text())
+@pytest.mark.parametrize("path", [p for p in CORPUS if p.parent.name != "malformed"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_scenario_dict_round_trips_through_the_loader(path):
+    # every schedule kind, a levy year and a file without b0
+    s = load_scenario(path.read_text())
     assert load_scenario(yaml.safe_dump(scenario_to_dict(s))) == s
 
 

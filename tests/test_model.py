@@ -29,12 +29,7 @@ from debtdyn import (
     simulate,
     tax,
 )
-from helpers import quad_root
-
-
-def make_consumer(alpha=0.25, beta=0.0, gamma=0.25, p_a=100.0, a=0.15, n=2, m=None):
-    return ConsumerParams(p_a=p_a, alpha=alpha, beta=beta, gamma=gamma,
-                          law=ConsumptionLaw(a=a, n=n), m=m)
+from helpers import make_consumer, quad_root
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +441,13 @@ def test_a_trajectory_spans_its_scenario_s_years(baseline_scenario):
     assert traj.horizon == 1 and list(traj.years) == [0, 1]
 
 
-@pytest.mark.parametrize("text", ["12", b"12", 5, None, np.array(5.0)],
-                         ids=["str", "bytes", "int", "None", "0-d-array"])
+@pytest.mark.parametrize("text", ["12", b"12", 5, None, np.array(5.0), {0.1, 0.2},
+                                  {0.1: 1.0}, bytearray(b"12")],
+                         ids=["str", "bytes", "int", "None", "0-d-array", "set", "mapping",
+                              "bytearray"])
 def test_a_trajectory_series_given_as_text_is_rejected(baseline_scenario, text):
-    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50; 5, None or a 0-d
-    # array (one float) is no sequence
+    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50, a set its hash order
+    # and a mapping its keys; 5, None or a 0-d array (one float) is no sequence
     flows = [float("nan"), 5.0]
     with pytest.raises(FieldError) as excinfo:
         Trajectory(scenario=baseline_scenario, b=text, c=flows, tau=flows, delta=flows,
