@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import analysis, io
-from .io import format_number
 from .model import ModelError
 
 _GRID_HELP = ("grid specification: 'start:stop:count' for inclusive linear "
@@ -60,24 +59,21 @@ def cmd_closed_form(scenario, args) -> str:
                               "D_closed_form": closed, "max_rel_dev": deviation})
     return (io.write_table(["k", "D_recursive", "D_closed_form"],
                            zip(years, recursive, closed))
-            + f"# max_rel_dev = {format_number(deviation)}\n")
+            + "# " + io.write_record({"max_rel_dev": deviation}))
+
+
+def _record(value, args) -> str:
+    """A model value's fields in declaration order: JSON, or one ``key = value`` line each."""
+    return (io.write_json if args.format == "json" else io.write_record)(vars(value))
 
 
 def cmd_condition(scenario, args) -> str:
-    report = analysis.decrease_condition(scenario.consumer, scenario.debt, args.year)
-    fields = vars(report)  # declared in printed order; the regime is a str enum
-    if args.format == "json":
-        return io.write_json(fields)
-    verdict = ("debt decreases steadily" if report.holds
-               else "debt will not steadily decrease")
-    return (f"condition {'holds' if report.holds else 'fails'} "
-            f"(margin {format_number(report.margin)}): {verdict}\n"
-            + io.write_record(fields))
+    return _record(analysis.decrease_condition(scenario.consumer, scenario.debt, args.year),
+                   args)
 
 
 def cmd_fixed_point(scenario, args) -> str:
-    doc = vars(analysis.fixed_point(scenario.consumer))
-    return io.write_json(doc) if args.format == "json" else io.write_record(doc)
+    return _record(analysis.fixed_point(scenario.consumer), args)
 
 
 _SWEEP_COLUMNS = ("value", "lhs", "rhs", "margin", "holds", "final_D", "error")
@@ -108,6 +104,9 @@ _COMMON.add_argument("-o", "--output", default=None,
 _COMMON.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default: csv; non-tabular "
                           "subcommands print key = value text for csv)")
+_YEAR = argparse.ArgumentParser(add_help=False)
+_YEAR.add_argument("-k", "--year", type=int, default=None,
+                   help="condition year; required for linear/explicit schedules")
 _SUB = _PARSER.add_subparsers(dest="command", required=True)
 
 _SUB.add_parser("simulate", parents=[_COMMON],
@@ -120,26 +119,22 @@ _SUB.add_parser("closed-form", parents=[_COMMON],
                      "starts at the fixed point; refuses a scheduled wealth levy)"
                 ).set_defaults(func=cmd_closed_form)
 
-_p = _SUB.add_parser("condition", parents=[_COMMON],
-                     help="evaluate the strict debt-decrease condition "
-                          "(verdict is data: exit 0 either way)")
-_p.add_argument("-k", "--year", type=int, default=None,
-                help="evaluation year; required for linear/explicit schedules")
-_p.set_defaults(func=cmd_condition)
+_SUB.add_parser("condition", parents=[_COMMON, _YEAR],
+                help="evaluate the strict debt-decrease condition D_k < D_{k-1} "
+                     "(verdict is data: exit 0 either way)"
+                ).set_defaults(func=cmd_condition)
 
 _SUB.add_parser("fixed-point", parents=[_COMMON],
                 help="print the consumer budget fixed point b_lambda"
                 ).set_defaults(func=cmd_fixed_point)
 
-_p = _SUB.add_parser("sweep", parents=[_COMMON],
+_p = _SUB.add_parser("sweep", parents=[_COMMON, _YEAR],
                      help="decrease condition + terminal simulated debt across "
                           "a one-parameter grid")
 _p.add_argument("--axis", required=True, choices=analysis.SWEEP_AXES,
                 help="parameter to sweep ('alpha' sets both rates: the paper's one tax rate); "
                      "without run.b0 each point starts at its own b_lambda")
 _p.add_argument("--grid", required=True, type=parse_grid, help=_GRID_HELP)
-_p.add_argument("-k", "--year", type=int, default=None,
-                help="condition year; required for linear/explicit schedules")
 _p.set_defaults(func=cmd_sweep)
 
 

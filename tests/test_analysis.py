@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -143,6 +144,20 @@ def test_debt_overflow_is_a_named_error(baseline_scenario):
     zero = overflowing(baseline_scenario, d0=0.0, g0=40.0)
     assert np.all(simulate(zero).debt == 0.0)
     assert np.all(debt_closed_form(zero.debt, zero.consumer, zero.horizon) == 0.0)
+
+
+def test_a_budget_root_whose_consumption_overflows_is_a_solver_failure():
+    # income at the float maximum: the root lands one ulp above b_lambda, the
+    # largest b whose b**2 is a float, so a*b**2 overflows
+    consumer = make_consumer(p_a=sys.float_info.max, alpha=0.0, gamma=0.0, a=1.0)
+    root = consumer_step(consumer, 1.0, 1)
+    assert root == math.nextafter(fixed_point(consumer).b_lambda, math.inf)
+    scenario = Scenario(consumer=consumer, debt=constant_debt(r=0.0, d0=0.0, g0=0.0),
+                        b0=1.0, horizon=3)
+    message = f"consumption at the budget root {root!r} of year 1 leaves the float range"
+    with pytest.raises(SolverDidNotConverge, match=f"^{re.escape(message)}$"):
+        simulate(scenario)
+    assert [point.error for point in sweep(scenario, "r", [0.0, 0.05])] == [message] * 2
 
 
 def test_simulate_rejects_short_explicit_schedule(baseline_scenario):

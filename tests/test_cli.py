@@ -5,13 +5,31 @@ import csv
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
+from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from debtdyn import ConditionReport, cli, decrease_condition, load_scenario, sweep
-from debtdyn.io import write_json
+from debtdyn import (
+    SWEEP_AXES,
+    ConditionReport,
+    ConstantSchedule,
+    ModelError,
+    cli,
+    decrease_condition,
+    fixed_point,
+    load_scenario,
+    simulate,
+    sweep,
+)
+from debtdyn.io import write_json, write_record
+from strategies import AXIS_VALUES, scenario_documents
 
 BASELINE = """
 consumer:
@@ -131,7 +149,6 @@ def test_condition_low_debt_corollary_holds(tmp_path, capsys):
                         .replace("g0: 30.0", "g0: 39.0"))
     assert cli.main(["condition", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "condition holds" in out
     assert "holds = true" in out
     assert "lhs = 40" in out
     assert "rhs = 39" in out
@@ -173,6 +190,51 @@ def test_fixed_point_text_and_json(baseline_path, capsys):
     assert capsys.readouterr().out == "b_lambda = 20\n"
     assert cli.main(["fixed-point", baseline_path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"b_lambda": 20.0}
+
+
+REPO = Path(__file__).parent.parent
+SCENARIO_FILES = sorted([*(REPO / "scenarios").glob("*.yaml"),
+                         *(REPO / "tests" / "data").glob("*.yaml")])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["condition", "fixed-point"])
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: str(path.relative_to(REPO)))
+def test_a_record_command_prints_its_value(path, command, fmt, capsys):
+    scenario = load_scenario(path.read_bytes())
+    k = None if isinstance(scenario.debt.schedule, ConstantSchedule) else 1
+    argv = [command, str(path), "--format", fmt]
+    try:
+        if command == "fixed-point":
+            value = fixed_point(scenario.consumer)
+        else:
+            value = decrease_condition(scenario.consumer, scenario.debt, k)
+            argv += [] if k is None else ["-k", str(k)]
+    except ModelError:  # the levy year of wealth_tax.yaml: the condition is refused
+        assert cli.main(argv) == 1
+        return
+    assert cli.main(argv) == 0
+    write = write_json if fmt == "json" else write_record
+    assert capsys.readouterr().out == write(vars(value))
+
+
+def test_holds_is_the_verdict_of_year_k_alone(tmp_path, capsys):
+    # deltaG < 0: the threshold falls year by year, so year 6 holds after the debt
+    # has risen in years 1..4
+    path = tmp_path / "falling.yaml"
+    path.write_text((REPO / "scenarios" / "linear_expenditure.yaml").read_text()
+                    .replace("g1: 30.0", "g1: 45.0").replace("deltaG: 1.0", "deltaG: -3.0"))
+    scenario = load_scenario(path.read_bytes())
+    margins = [decrease_condition(scenario.consumer, scenario.debt, k).margin
+               for k in range(1, 9)]
+    assert margins == pytest.approx([-10.0, -7.14, -4.42, -1.83, 0.64, 2.99, 5.23, 7.36],
+                                    abs=0.005)
+    debt = simulate(replace(scenario, horizon=8)).debt  # from b_lambda = 20
+    assert list(np.sign(np.diff(debt))) == list(-np.sign(margins))
+    assert debt[4] == pytest.approx(124.49, abs=0.005)
+    assert cli.main(["condition", str(path), "-k", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "holds = true" in out and "steadily" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +458,27 @@ def test_debt_overflow_exits_one_with_no_output(argv, tmp_path, capsys):
     assert out == "" and "float range" in err
 
 
+# income at the float maximum: the year-1 root is one ulp above b_lambda = 2**512 * (1 - 2**-53),
+# the largest b whose b**2 is a float
+FLOAT_MAX_INCOME = {"consumer": {"p_a": 1.7976931348623157e308, "alpha": 0.0, "beta": 0.0,
+                                 "gamma": 0.0, "law": {"a": 1.0, "n": 2}},
+                    "debt": {"r": 0.0, "D0": 0.0, "schedule": {"kind": "constant", "g0": 0.0}},
+                    "run": {"b0": 1.0, "horizon": 3}}
+ROOT_OVERFLOW = ("consumption at the budget root 1.3407807929942597e+154 of year 1 "
+                 "leaves the float range")
+
+
+def test_a_budget_root_whose_consumption_overflows_is_a_model_error(tmp_path, capsys):
+    path = tmp_path / "float_max.yaml"
+    path.write_text(json.dumps(FLOAT_MAX_INCOME))
+    for command in ("simulate", "closed-form"):
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {ROOT_OVERFLOW}\n")
+    assert cli.main(["sweep", str(path), "--axis", "D0", "--grid", "0,1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["error"] for row in rows] == [ROOT_OVERFLOW] * 2
+
+
 def strict_json(text):
     """json.loads that refuses the non-standard NaN and Infinity tokens."""
     def refuse(token):
@@ -499,7 +582,6 @@ def test_unknown_subcommand_is_cli_misuse(baseline_path):
 # golden outputs
 # ---------------------------------------------------------------------------
 
-REPO = Path(__file__).parent.parent
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 # golden file -> argv; scenario paths are relative to the repository root
@@ -572,3 +654,45 @@ def test_a_sweep_json_row_is_its_points_condition_report(capsys):
         report = decrease_condition(base.consumer, replace(base.debt, d0=row["value"]), 5)
         assert {name: row[name] for name in names} == json.loads(write_json(asdict(report)))
     assert rows[2]["value"] == 50.0 and rows[2]["holds"] and rows[2]["rhs_limit"] == 52.5
+
+
+# ---------------------------------------------------------------------------
+# every subcommand over the full valid domain
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cli_cases(draw):
+    """A scenario document, a condition year or none, and a grid for each sweep axis."""
+    doc = draw(scenario_documents())
+    k = draw(st.integers(0, doc["run"]["horizon"] + 2)) or None  # no -k at 0
+    return doc, k, {axis: draw(st.lists(AXIS_VALUES[axis], min_size=1, max_size=3))
+                    for axis in SWEEP_AXES}
+
+
+def run_main(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100)
+@given(cli_cases())
+@example((FLOAT_MAX_INCOME, None, {axis: [1.0] for axis in SWEEP_AXES}))
+def test_every_subcommand_exits_0_1_or_2_over_the_valid_domain(case):
+    doc, k, grids = case
+    year = [] if k is None else ["-k", str(k)]
+    runs = [["simulate"], ["closed-form"], ["condition", *year], ["fixed-point"],
+            *(["sweep", "--axis", axis, "--grid=" + ",".join(map(repr, grids[axis])), *year]
+              for axis in SWEEP_AXES)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(json.dumps(doc))  # a JSON document is YAML flow style
+        for command, *rest in runs:
+            for fmt in ("csv", "json"):
+                code, out, err = run_main([command, str(path), *rest, "--format", fmt])
+                assert code in (0, 1, 2)
+                if code:
+                    assert out == "" and err.startswith("error: ")
+                elif fmt == "json":
+                    strict_json(out)
