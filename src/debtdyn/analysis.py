@@ -193,7 +193,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     (b, c, tau), drifts = _drifts(scenario.debt.schedule, scenario.consumer,
                                   scenario.b0, scenario.horizon)
     debt = _debt_path(scenario.debt.r, scenario.debt.d0, drifts)
-    return Trajectory(scenario, b, c, tau, [math.nan, *drifts], debt)
+    return Trajectory._of_floats(scenario, b, c, tau, [math.nan, *drifts], debt)
 
 
 # ---------------------------------------------------------------------------

@@ -294,10 +294,35 @@ def write_record(fields: dict) -> str:
                    for key, value in fields.items() if value is not None)
 
 
+_SCALARS = {str, int, float, bool, type(None)}  # the types json writes without recursing
+_CONTAINERS = (list, tuple, dict)
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes it at nesting
+    ``indent``: one call to json's C encoder, whose item separator holds the line break and
+    indent the indented encoder writes, with a 0 in place of each nested container."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value, allow_nan=False)
+    inner, is_dict = indent + "  ", isinstance(value, dict)
+    items = value.values() if is_dict else value
+    mixed = not set(map(type, items)) <= _SCALARS  # one type-set pass, as in `_floats`
+    if mixed:  # a container, or another type such as a str enum
+        flat = [0 if isinstance(item, _CONTAINERS) else item for item in items]
+        value = dict(zip(value, flat)) if is_dict else flat
+    separator = ",\n" + inner
+    body = json.dumps(value, separators=(separator, ": "), allow_nan=False)[1:-1]
+    if mixed:  # no encoded item holds a raw newline, so the separator splits the items
+        body = separator.join(entry[:-1] + _json(item, inner) if isinstance(item, _CONTAINERS)
+                              else entry for entry, item in zip(body.split(separator), items))
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
 def write_json(doc) -> str:
-    """Indented standard JSON with a final newline; a NaN or infinity, which
-    standard JSON cannot hold, raises ValueError."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Indented standard JSON with a final newline, the bytes `json.dumps` writes at indent=2;
+    a NaN or infinity, which standard JSON cannot hold, raises ValueError."""
+    return _json(doc, "") + "\n"
 
 
 def write_trajectory(traj: Trajectory, format: str = "csv") -> str:
@@ -345,9 +370,14 @@ def read_trajectory(document: str) -> Trajectory:
         if len(raw) != years:
             _fail("trajectory.series", f"{key} has {len(raw)} entries, "
                                        f"run.horizon = {scenario.horizon} needs {years}")
-        try:
-            series.append([math.nan if v is None else _number(v, key, i)
-                           for i, v in enumerate(raw)])
-        except FieldError as exc:
-            raise _restate(exc, "trajectory") from exc
-    return Trajectory(scenario, *series)
+        values = [math.nan if v is None else v for v in raw]
+        # one type-set pass: floats and nulls, all finite but the nulls, are taken as they are
+        if not set(map(type, raw)) <= {float, type(None)} \
+                or sum(map(math.isfinite, values)) != years - raw.count(None):
+            try:
+                values = [math.nan if v is None else _number(v, key, i)
+                          for i, v in enumerate(raw)]
+            except FieldError as exc:
+                raise _restate(exc, "trajectory") from exc
+        series.append(values)
+    return Trajectory._of_floats(scenario, *series)

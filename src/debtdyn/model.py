@@ -347,13 +347,22 @@ class Trajectory:
     series: MappingProxyType
 
     def __init__(self, scenario: Scenario, b, c, tau, delta, debt):
-        series = {name: _floats(values, name)  # insertion order is the file order
-                  for name, values in zip(_SERIES, (b, c, tau, delta, debt))}
+        self._store(scenario, [_floats(values, name)
+                               for name, values in zip(_SERIES, (b, c, tau, delta, debt))])
+
+    @classmethod
+    def _of_floats(cls, scenario: Scenario, *series) -> Trajectory:
+        """A trajectory of float lists or tuples the package made or checked: no element check."""
+        traj = cls.__new__(cls)
+        traj._store(scenario, list(map(tuple, series)))
+        return traj
+
+    def _store(self, scenario: Scenario, series: list) -> None:
         years = scenario.horizon + 1  # each series holds the years 0..K; Scenario keeps K >= 1
-        for name, length in zip(series, map(len, series.values())):  # file order: first is named
+        for name, length in zip(_SERIES, map(len, series)):  # file order: first is named
             _check(length == years, "series", f"{name} must have {years} entries", length)
         object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "series", MappingProxyType(series))
+        object.__setattr__(self, "series", MappingProxyType(dict(zip(_SERIES, series))))
 
     b, c, tau, delta, debt = map(_array, _SERIES)
 
@@ -394,9 +403,9 @@ def _positive_root(coeff: float, n: int, slope: float, rhs: float) -> float:
     reaches rhs, so the polynomial is >= 0 there. On x > 0 the polynomial is
     increasing and convex, so Newton steps from above stay above the root and
     fall monotonically onto it. Returns once the relative step drops below
-    1e-12; raises SolverDidNotConverge if that takes more than 200 steps or
-    if x**n leaves the float range (as it does for any n beyond it, whose
-    1/n is 0.0).
+    1e-12; raises SolverDidNotConverge if that takes more than 200 steps, if
+    x**n leaves the float range (as it does for any n beyond it, whose 1/n is
+    0.0), or if the step stops at 0.0 or at an infinity (coeff*x**n overflowed).
     """
     x = min(rhs / slope, (rhs / coeff) ** (1 / n))
     try:
@@ -405,7 +414,10 @@ def _positive_root(coeff: float, n: int, slope: float, rhs: float) -> float:
         for _ in range(_MAX_ITER):
             x_new = x - (coeff * x ** n + slope * x - rhs) / (n_coeff * x ** n_less + slope)
             if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
-                return x_new
+                if 0.0 < x_new < math.inf:  # not a collapse onto 0, nor an overflowed step
+                    return x_new
+                x = x_new
+                break
             x = x_new
     except OverflowError:
         pass
@@ -426,9 +438,9 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     left side is strictly increasing on b > 0 and the right side is positive,
     so the positive root exists and is unique.
 
-    Raises NonPositiveBudget if the right side is not positive (impossible
-    under the type invariants; kept as a guard) and SolverDidNotConverge if
-    the root cannot be found in floating point.
+    Raises NonPositiveBudget if the right side is not positive (a b_prev <=
+    -(1-alpha)*p_a; every budget returned is > 0) and SolverDidNotConverge if
+    no finite positive root can be found in floating point.
     """
     rhs = (1.0 - params.alpha) * params.p_a + b_prev
     if rhs <= 0.0:

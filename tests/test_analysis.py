@@ -34,6 +34,7 @@ from debtdyn import (
     SWEEP_AXES,
     Scenario,
     ScheduleTooShort,
+    Trajectory,
     consumer_step,
     debt_closed_form,
     debt_closed_form_general,
@@ -174,6 +175,24 @@ def test_simulate_trajectory_layout(baseline_scenario):
     assert traj.b[0] == 18.0 and traj.debt[0] == 100.0
     for series in (traj.c, traj.tau, traj.delta):
         assert math.isnan(series[0]) and np.all(np.isfinite(series[1:]))
+
+
+SCHEDULES = {"constant": ConstantSchedule(g0=30.0),
+             "linear": LinearSchedule(g1=30.0, delta_g=1.0),
+             "explicit": ExplicitSchedule(values=[30.0 + k % 3 for k in range(10)])}
+
+
+@pytest.mark.parametrize("levy", [None, 4], ids=["no levy", "levy"])
+@pytest.mark.parametrize("kind", SCHEDULES)
+def test_simulate_stores_what_the_checked_trajectory_path_stores(baseline_scenario, kind,
+                                                                 levy):
+    scenario = replace(baseline_scenario, consumer=make_consumer(beta=0.2, m=levy),
+                       debt=replace(baseline_scenario.debt, schedule=SCHEDULES[kind]))
+    traj = simulate(scenario)
+    checked = Trajectory(scenario, *traj.series.values())
+    for name, values in traj.series.items():
+        assert type(values) is tuple and {type(v) for v in values} == {float}
+        assert [v.hex() for v in values] == [v.hex() for v in checked.series[name]]
 
 
 def test_simulate_accounting_identity_along_the_path(baseline_scenario):
@@ -835,7 +854,10 @@ def reference_positive_root(coeff, n, slope, rhs):
             x_new = x - (coeff * x ** n + slope * x - rhs) \
                 / (n * coeff * x ** (n - 1) + slope)
             if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
-                return x_new
+                if 0.0 < x_new < math.inf:
+                    return x_new
+                x = x_new
+                break
             x = x_new
     except OverflowError:
         pass
@@ -871,6 +893,34 @@ def test_consumer_step_equals_the_plain_newton_loop(case, in_levy_year):
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         return
     assert consumer_step(consumer, b_prev, k).hex() == want.hex()
+
+
+ALMOST_ONE = 1.0 - 2.0 ** -53
+
+# (consumer, b0, the year whose budget root leaves the positive floats)
+ROOTS_OUT_OF_RANGE = {
+    # coeff*x**n overflows to inf as a float product: the step is -inf, which
+    # passed the stop test, though the root is about 1.34e54
+    "overflowed step": (make_consumer(p_a=1.0, alpha=0.0, gamma=0.0, a=1e200, n=2),
+                        1.7976931348623157e308, 1),
+    # (1-alpha)*p_a is 0.0 and the budget holds at 5e-324 until the levy year,
+    # whose root is below the float range: the step lands on 0.0
+    "root below the floats": (make_consumer(p_a=2.2250738585072014e-308, alpha=ALMOST_ONE,
+                                            beta=ALMOST_ONE, gamma=ALMOST_ONE,
+                                            a=ALMOST_ONE, n=5, m=24), 5e-324, 24),
+}
+
+
+@pytest.mark.parametrize("consumer,b0,year", ROOTS_OUT_OF_RANGE.values(),
+                         ids=ROOTS_OUT_OF_RANGE.keys())
+def test_a_budget_root_out_of_the_positive_floats_is_a_named_error(consumer, b0, year):
+    with pytest.raises(SolverDidNotConverge, match=r"\(last iterate (-inf|0\.0)\)$"):
+        consumer_step(consumer, b0, year)
+    scenario = Scenario(consumer=consumer, debt=constant_debt(), b0=b0, horizon=year)
+    with pytest.raises(SolverDidNotConverge):  # in the year it occurs, not a year later
+        simulate(scenario)
+    if year > 1:
+        assert set(simulate(replace(scenario, horizon=year - 1)).series["b"]) == {b0}
 
 
 def counting_steps(monkeypatch):

@@ -31,7 +31,7 @@ from debtdyn import (
     simulate,
     write_trajectory,
 )
-from debtdyn import io
+from debtdyn import ConditionRegime, io
 from helpers import MALFORMED
 
 ROOT = Path(__file__).parent.parent
@@ -669,3 +669,75 @@ def test_read_trajectory_names_a_series_that_is_not_a_list(baseline_scenario, ke
     doc[key] = {"0": 18.0}
     with pytest.raises(ValidationError, match=rf"^trajectory\.{key}: must be a list$"):
         read_trajectory(json.dumps(doc))
+
+
+# An element JSON can hold that is no finite number: the reader names it as _number does.
+REFUSED_ELEMENTS = {"NaN": (math.nan, "must be finite, got nan"),
+                    "true": (True, "must be a number, got True"),
+                    "string": ("18", "must be a number, got '18'")}
+
+
+@pytest.mark.parametrize("key", ["b", "D", "c", "delta"])  # stocks and flows
+@pytest.mark.parametrize("element,problem", REFUSED_ELEMENTS.values(),
+                         ids=REFUSED_ELEMENTS.keys())
+def test_read_trajectory_names_an_element_that_is_not_a_finite_number(baseline_scenario,
+                                                                      key, element, problem):
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc[key][4] = element
+    with pytest.raises(ValidationError) as excinfo:
+        read_trajectory(json.dumps(doc))  # json.dumps writes a NaN as the NaN token
+    assert str(excinfo.value) == f"trajectory.{key}[4]: {problem}"
+
+
+def test_read_trajectory_reads_an_int_as_a_float_and_null_as_nan(baseline_scenario):
+    doc = json.loads(write_trajectory(simulate(baseline_scenario), format="json"))
+    doc["b"][2], doc["D"][3], doc["tau"][5] = 19, None, -7
+    traj = read_trajectory(json.dumps(doc))
+    assert traj.series["b"][2] == 19.0 and traj.series["tau"][5] == -7.0
+    assert math.isnan(traj.series["debt"][3])
+    for values in traj.series.values():
+        assert type(values) is tuple and {type(v) for v in values} == {float}
+
+
+# ---------------------------------------------------------------------------
+# write_json against the stdlib's indented encoder
+# ---------------------------------------------------------------------------
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+                 | st.text() | st.sampled_from(["\u00e9\u4e2d", '"\\\n\t\x00', "\u2028\ud800"])
+                 | st.sampled_from(list(ConditionRegime)))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@example({"k": [], "d": {}, "t": (), "nested": [[1.5, {"x": [None, True]}], ()]})
+@example({1: [2], 2.5: (), False: {"a": 3}, None: "x"})  # json's other key types
+def test_write_json_writes_what_the_indented_stdlib_encoder_writes(doc):
+    assert io.write_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _holding(before, item, after, kind):
+    """A list, tuple or dict of ``item`` among the values ``before`` and ``after``."""
+    items = [*before, item, *after]
+    return {f"k{i}": value for i, value in enumerate(items)} if kind is dict else kind(items)
+
+
+# a NaN or infinity, alone or at any place of any depth of a document
+_NONFINITE_DOCS = st.recursive(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda children: st.builds(_holding, st.lists(_JSON_VALUES, max_size=3), children,
+                               st.lists(_JSON_VALUES, max_size=3),
+                               st.sampled_from([list, tuple, dict])),
+    max_leaves=6)
+
+
+@given(_NONFINITE_DOCS)
+def test_write_json_refuses_a_nan_or_infinity_anywhere(doc):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.write_json(doc)
