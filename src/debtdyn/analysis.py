@@ -28,7 +28,6 @@ from .model import (
     LinearSchedule,
     ModelError,
     Scenario,
-    SolverDidNotConverge,
     Trajectory,
     _floats,
     _integer,
@@ -143,18 +142,14 @@ def _budget_path(consumer: ConsumerParams, b0: float,
     so its values fill the rest of the horizon without further solves."""
     consumption, m = consumer.law.consumption, consumer.m
     b_k, b, c, tau = b0, [b0], [math.nan], [math.nan]
-    try:
-        for k in range(1, horizon + 1):
-            b_prev, b_k = b_k, consumer_step(consumer, b_k, k)
-            c_k = consumption(b_k)
-            b.append(b_k)
-            c.append(c_k)
-            tau.append(tax(consumer, b_k, c_k, k))
-            if b_k == b_prev and (m is None or m < k):
-                break
-    except OverflowError:  # b**n of a root beyond the float range; nothing else here raises it
-        raise SolverDidNotConverge(f"consumption at the budget root {b_k!r} of year {k} "
-                                   "leaves the float range") from None
+    for k in range(1, horizon + 1):
+        b_prev, b_k = b_k, consumer_step(consumer, b_k, k)
+        c_k = consumption(b_k)
+        b.append(b_k)
+        c.append(c_k)
+        tau.append(tax(consumer, b_k, c_k, k))
+        if b_k == b_prev and (m is None or m < k):
+            break
     rest = horizon + 1 - len(b)
     return tuple(s + s[-1:] * rest for s in (b, c, tau))
 

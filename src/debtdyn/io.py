@@ -136,11 +136,9 @@ def _build(cls, doc, path: str, extra: tuple = (), **given):
     read = [field for field in _FIELDS[cls] if field[0] not in given]
     doc = _mapping(doc, path, {*extra, *(key for _, key, _ in read)})
     for name, key, optional in read:
-        value = doc.get(key)
-        if value is None and optional:
+        if optional and doc.get(key) is None:
             continue
-        if value is None and key not in doc:
-            _fail(f"{path}.{key}", "required field is missing")
+        value = _get(doc, key, f"{path}.{key}")
         parse = _NESTED.get(name)
         given[name] = parse(value, f"{path}.{key}") if parse else value
     try:

@@ -299,12 +299,12 @@ class Scenario:
 
 def _floats(values, name: str) -> tuple:
     """Any sequence of numbers as a tuple of Python floats (an array, 0-d too, converts
-    through one ``tolist()`` call); a str, bytes, bytearray, set, mapping or non-iterable
-    is not one. Each element is a float of any width (NaN and infinities included) or a
-    number by `_number`'s kind rule; an element of another kind, or an int beyond the
-    float range, raises FieldError naming it as ``name[i]``."""
+    through one ``tolist()`` call); a str, bytes, bytearray, memoryview, set, mapping or
+    non-iterable is not one. Each element is a float of any width (NaN and infinities
+    included) or a number by `_number`'s kind rule; an element of another kind, or an int
+    beyond the float range, raises FieldError naming it as ``name[i]``."""
     values = values.tolist() if isinstance(values, _numpy_type("ndarray")) else values
-    if isinstance(values, (str, bytes, bytearray, Set, Mapping)) \
+    if isinstance(values, (str, bytes, bytearray, memoryview, Set, Mapping)) \
             or not hasattr(values, "__iter__"):
         raise FieldError(name, f"must be a sequence of numbers, got {type(values).__name__}")
     values = tuple(values)
@@ -395,38 +395,6 @@ _STEP_RTOL = 1e-12
 _MAX_ITER = 200
 
 
-def _positive_root(coeff: float, n: int, slope: float, rhs: float) -> float:
-    """Unique positive root of coeff*x**n + slope*x - rhs with all inputs > 0.
-
-    Newton starts at min(rhs/slope, (rhs/coeff)**(1/n)). Both are upper bounds
-    on the root: at either point one of the two positive terms alone already
-    reaches rhs, so the polynomial is >= 0 there. On x > 0 the polynomial is
-    increasing and convex, so Newton steps from above stay above the root and
-    fall monotonically onto it. Returns once the relative step drops below
-    1e-12; raises SolverDidNotConverge if that takes more than 200 steps, if
-    x**n leaves the float range (as it does for any n beyond it, whose 1/n is
-    0.0), or if the step stops at 0.0 or at an infinity (coeff*x**n overflowed).
-    """
-    x = min(rhs / slope, (rhs / coeff) ** (1 / n))
-    try:
-        # n * coeff * x ** (n - 1) multiplies (n * coeff) first; it overflows for a huge n
-        n_coeff, n_less = n * coeff, n - 1
-        for _ in range(_MAX_ITER):
-            x_new = x - (coeff * x ** n + slope * x - rhs) / (n_coeff * x ** n_less + slope)
-            if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
-                if 0.0 < x_new < math.inf:  # not a collapse onto 0, nor an overflowed step
-                    return x_new
-                x = x_new
-                break
-            x = x_new
-    except OverflowError:
-        pass
-    raise SolverDidNotConverge(
-        f"budget root of {coeff!r}*b**{n} + {slope!r}*b = {rhs!r} not reached "
-        f"in floating point within {_MAX_ITER} Newton steps (last iterate {x!r})"
-    )
-
-
 def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     """Advance the consumer budget by one year.
 
@@ -438,9 +406,20 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     left side is strictly increasing on b > 0 and the right side is positive,
     so the positive root exists and is unique.
 
+    Newton starts at min(rhs/slope, (rhs/coeff)**(1/n)) for the sides
+    coeff*b**n + slope*b = rhs. Both are upper bounds on the root: at either
+    point one of the two positive terms alone already reaches rhs. On b > 0
+    the left side is increasing and convex, so Newton steps from above stay
+    above the root and fall monotonically onto it. The step stops once it
+    moves b by less than 1e-12 relative, and that b is returned when it is
+    > 0 and coeff*b**n is a float, so its consumption is one too.
+
     Raises NonPositiveBudget if the right side is not positive (a b_prev <=
-    -(1-alpha)*p_a; every budget returned is > 0) and SolverDidNotConverge if
-    no finite positive root can be found in floating point.
+    -(1-alpha)*p_a; every budget returned is > 0), and otherwise
+    SolverDidNotConverge naming year k, the equation and where Newton
+    stopped: at a b that is no such root (0.0, or -inf once coeff*x**n
+    overflowed), where x**n or n*coeff left the float range (as for any n
+    beyond it, whose 1/n is 0.0), or after 200 steps.
     """
     rhs = (1.0 - params.alpha) * params.p_a + b_prev
     if rhs <= 0.0:
@@ -448,9 +427,25 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
             f"(1-alpha)*p_a + b_prev = {rhs!r} must be > 0 to admit a positive budget"
         )
     law = params.law
-    coeff = (1.0 + params.gamma) * law.a
+    coeff, n = (1.0 + params.gamma) * law.a, law.n
     slope = 1.0 + params.wealth_tax_rate(k)
-    return _positive_root(coeff, law.n, slope, rhs)
+    x = min(rhs / slope, (rhs / coeff) ** (1 / n))
+    stop = "(Newton stopped at"  # unless all _MAX_ITER steps run
+    try:
+        # n * coeff * x ** (n - 1) multiplies (n * coeff) first; it overflows for a huge n
+        n_coeff, n_less = n * coeff, n - 1
+        for _ in range(_MAX_ITER):
+            x, x_prev = x - (coeff * x ** n + slope * x - rhs) / (n_coeff * x ** n_less + slope), x
+            if abs(x - x_prev) <= _STEP_RTOL * abs(x):
+                if 0.0 < x and coeff * x ** n < math.inf:  # x ** n raises past the floats
+                    return x
+                break
+        else:
+            stop = f"within {_MAX_ITER} Newton steps (last iterate"
+    except OverflowError:
+        pass
+    raise SolverDidNotConverge(f"budget root of {coeff!r}*b**{n} + {slope!r}*b = {rhs!r} "
+                               f"in year {k} not reached in floating point {stop} {x!r})")
 
 
 def debt_step(r, d_prev, drift):

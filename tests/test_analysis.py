@@ -148,14 +148,16 @@ def test_debt_overflow_is_a_named_error(baseline_scenario):
 
 
 def test_a_budget_root_whose_consumption_overflows_is_a_solver_failure():
-    # income at the float maximum: the root lands one ulp above b_lambda, the
-    # largest b whose b**2 is a float, so a*b**2 overflows
+    # income at the float maximum: Newton stops one ulp above b_lambda, the
+    # largest b whose b**2 is a float, so the step refuses that root
     consumer = make_consumer(p_a=sys.float_info.max, alpha=0.0, gamma=0.0, a=1.0)
-    root = consumer_step(consumer, 1.0, 1)
-    assert root == math.nextafter(fixed_point(consumer).b_lambda, math.inf)
+    root = math.nextafter(fixed_point(consumer).b_lambda, math.inf)
+    message = (f"budget root of 1.0*b**2 + 1.0*b = {sys.float_info.max!r} in year 1 "
+               f"not reached in floating point (Newton stopped at {root!r})")
+    with pytest.raises(SolverDidNotConverge, match=f"^{re.escape(message)}$"):
+        consumer_step(consumer, 1.0, 1)
     scenario = Scenario(consumer=consumer, debt=constant_debt(r=0.0, d0=0.0, g0=0.0),
                         b0=1.0, horizon=3)
-    message = f"consumption at the budget root {root!r} of year 1 leaves the float range"
     with pytest.raises(SolverDidNotConverge, match=f"^{re.escape(message)}$"):
         simulate(scenario)
     assert [point.error for point in sweep(scenario, "r", [0.0, 0.05])] == [message] * 2
@@ -846,32 +848,31 @@ def test_budget_path_equals_the_plain_loop(case):
     assert_bitwise_equal_paths(_budget_path(consumer, b0, horizon), want)
 
 
-def reference_positive_root(coeff, n, slope, rhs):
-    """The plain Newton loop: every term of the step formed in every step."""
+def reference_positive_root(coeff, n, slope, rhs, k):
+    """The plain Newton loop of year k: every term of the step formed in every
+    step, and a stop returned only at a b > 0 whose coeff*b**n is a float."""
     x = min(rhs / slope, (rhs / coeff) ** (1 / n))
+    head = f"budget root of {coeff!r}*b**{n} + {slope!r}*b = {rhs!r} in year {k} " \
+        "not reached in floating point"
     try:
         for _ in range(_MAX_ITER):
             x_new = x - (coeff * x ** n + slope * x - rhs) \
                 / (n * coeff * x ** (n - 1) + slope)
-            if abs(x_new - x) <= _STEP_RTOL * abs(x_new):
-                if 0.0 < x_new < math.inf:
-                    return x_new
-                x = x_new
-                break
-            x = x_new
+            x, x_prev = x_new, x
+            if abs(x - x_prev) <= _STEP_RTOL * abs(x):
+                if x > 0.0 and math.isfinite(coeff * x ** n):
+                    return x
+                raise SolverDidNotConverge(f"{head} (Newton stopped at {x!r})")
     except OverflowError:
-        pass
-    raise SolverDidNotConverge(
-        f"budget root of {coeff!r}*b**{n} + {slope!r}*b = {rhs!r} not reached "
-        f"in floating point within {_MAX_ITER} Newton steps (last iterate {x!r})"
-    )
+        raise SolverDidNotConverge(f"{head} (Newton stopped at {x!r})") from None
+    raise SolverDidNotConverge(f"{head} within {_MAX_ITER} Newton steps (last iterate {x!r})")
 
 
 def reference_consumer_step(params, b_prev, k):
     rhs = (1.0 - params.alpha) * params.p_a + b_prev  # > 0 over budget_cases
     coeff = (1.0 + params.gamma) * params.law.a
     slope = 1.0 + params.wealth_tax_rate(k)
-    return reference_positive_root(coeff, params.law.n, slope, rhs)
+    return reference_positive_root(coeff, params.law.n, slope, rhs, k)
 
 
 @settings(max_examples=500)
@@ -914,11 +915,16 @@ ROOTS_OUT_OF_RANGE = {
 @pytest.mark.parametrize("consumer,b0,year", ROOTS_OUT_OF_RANGE.values(),
                          ids=ROOTS_OUT_OF_RANGE.keys())
 def test_a_budget_root_out_of_the_positive_floats_is_a_named_error(consumer, b0, year):
-    with pytest.raises(SolverDidNotConverge, match=r"\(last iterate (-inf|0\.0)\)$"):
+    with pytest.raises(SolverDidNotConverge, match=rf" in year {year} not reached in "
+                       r"floating point \(Newton stopped at [^ ]+\)$") as raised:
         consumer_step(consumer, b0, year)
+    message = str(raised.value)
     scenario = Scenario(consumer=consumer, debt=constant_debt(), b0=b0, horizon=year)
-    with pytest.raises(SolverDidNotConverge):  # in the year it occurs, not a year later
+    with pytest.raises(SolverDidNotConverge) as raised:  # in the year it occurs, not a year later
         simulate(scenario)
+    assert str(raised.value) == message
+    points = sweep(scenario, "D0", [0.0, 1.0])  # a levy year adds the condition's RegimeError
+    assert [point.error.split("; ")[-1] for point in points] == [message] * 2
     if year > 1:
         assert set(simulate(replace(scenario, horizon=year - 1)).series["b"]) == {b0}
 
@@ -1113,8 +1119,9 @@ def test_sweep_rejects_structural_misuse(baseline_scenario):
     ({0.1, 0.2}, "grid", "must be a sequence of numbers, got set"),
     ({0.1: 1.0}, "grid", "must be a sequence of numbers, got dict"),
     (bytearray(b"12"), "grid", "must be a sequence of numbers, got bytearray"),
+    (memoryview(b"\x00\x01"), "grid", "must be a sequence of numbers, got memoryview"),
 ], ids=["None", "str", "numeric-str", "bool", "numpy-bool", "Fraction", "+huge", "-huge",
-        "text", "int", "0-d-array", "set", "mapping", "bytearray"])
+        "text", "int", "0-d-array", "set", "mapping", "bytearray", "memoryview"])
 def test_a_grid_element_that_is_not_a_number_stops_the_sweep_up_front(
         baseline_scenario, monkeypatch, grid, field, problem):
     years = counting_steps(monkeypatch)

@@ -458,25 +458,46 @@ def test_debt_overflow_exits_one_with_no_output(argv, tmp_path, capsys):
     assert out == "" and "float range" in err
 
 
-# income at the float maximum: the year-1 root is one ulp above b_lambda = 2**512 * (1 - 2**-53),
-# the largest b whose b**2 is a float
+# income at the float maximum: Newton stops one ulp above b_lambda = 2**512 * (1 - 2**-53),
+# the largest b whose b**2 is a float, and the step refuses that root
 FLOAT_MAX_INCOME = {"consumer": {"p_a": 1.7976931348623157e308, "alpha": 0.0, "beta": 0.0,
                                  "gamma": 0.0, "law": {"a": 1.0, "n": 2}},
                     "debt": {"r": 0.0, "D0": 0.0, "schedule": {"kind": "constant", "g0": 0.0}},
                     "run": {"b0": 1.0, "horizon": 3}}
-ROOT_OVERFLOW = ("consumption at the budget root 1.3407807929942597e+154 of year 1 "
-                 "leaves the float range")
+ROOT_OVERFLOW = ("budget root of 1.0*b**2 + 1.0*b = 1.7976931348623157e+308 in year 1 "
+                 "not reached in floating point (Newton stopped at 1.3407807929942597e+154)")
+# a*b**2 overflows to inf on the way down from b0 = float max, and Newton stops at -inf
+OVERFLOWED_STEP = {"consumer": {"p_a": 1.0, "alpha": 0.0, "beta": 0.0, "gamma": 0.0,
+                                "law": {"a": 1e200, "n": 2}},
+                   "debt": FLOAT_MAX_INCOME["debt"],
+                   "run": {"b0": 1.7976931348623157e308, "horizon": 3}}
+# the budget holds at 5e-324 until the levy year 24, whose root is below the floats
+ALMOST_ONE = 1.0 - 2.0 ** -53
+ROOT_BELOW_FLOATS = {"consumer": {"p_a": 2.2250738585072014e-308, "alpha": ALMOST_ONE,
+                                  "beta": ALMOST_ONE, "gamma": ALMOST_ONE, "m": 24,
+                                  "law": {"a": ALMOST_ONE, "n": 5}},
+                     "debt": FLOAT_MAX_INCOME["debt"],
+                     "run": {"b0": 5e-324, "horizon": 24}}
 
 
-def test_a_budget_root_whose_consumption_overflows_is_a_model_error(tmp_path, capsys):
-    path = tmp_path / "float_max.yaml"
-    path.write_text(json.dumps(FLOAT_MAX_INCOME))
+@pytest.mark.parametrize("doc,message,condition_error", [
+    (FLOAT_MAX_INCOME, ROOT_OVERFLOW, ""),
+    (OVERFLOWED_STEP, "budget root of 1e+200*b**2 + 1.0*b = 1.7976931348623157e+308 in year 1 "
+                      "not reached in floating point (Newton stopped at -inf)", ""),
+    (ROOT_BELOW_FLOATS, "budget root of 1.9999999999999998*b**5 + 2.0*b = 5e-324 in year 24 "
+                        "not reached in floating point (Newton stopped at 0.0)",
+     "the decrease condition requires beta = 0, got beta = 0.9999999999999999; "),
+], ids=["float-max income", "overflowed step", "root below the floats"])
+def test_a_budget_root_out_of_the_floats_is_one_error_naming_its_year(
+        doc, message, condition_error, tmp_path, capsys):
+    path = tmp_path / "root.yaml"
+    path.write_text(json.dumps(doc))
     for command in ("simulate", "closed-form"):
         assert cli.main([command, str(path)]) == 1
-        assert capsys.readouterr() == ("", f"error: {ROOT_OVERFLOW}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert cli.main(["sweep", str(path), "--axis", "D0", "--grid", "0,1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
-    assert [row["error"] for row in rows] == [ROOT_OVERFLOW] * 2
+    assert [row["error"] for row in rows] == [condition_error + message] * 2
 
 
 def strict_json(text):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -18,6 +19,7 @@ from debtdyn import (
     ExplicitSchedule,
     FieldError,
     LinearSchedule,
+    ModelError,
     NonPositiveBudget,
     Scenario,
     ScheduleTooShort,
@@ -30,6 +32,7 @@ from debtdyn import (
     tax,
 )
 from helpers import make_consumer, quad_root
+from strategies import exponent, nonnegative, positive, rate
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +154,25 @@ def test_step_never_returns_an_unconverged_root(monkeypatch):
     monkeypatch.setattr(model, "_MAX_ITER", 1)
     with pytest.raises(SolverDidNotConverge):
         consumer_step(make_consumer(), 18.0, 1)
+
+
+@given(p_a=positive, alpha=rate, beta=rate, gamma=nonnegative, a=positive, n=exponent,
+       b_prev=positive, in_levy_year=st.booleans())
+# income at the float maximum: Newton stops one ulp above b_lambda, whose b**2 overflows
+@example(p_a=sys.float_info.max, alpha=0.0, beta=0.0, gamma=0.0, a=1.0, n=2, b_prev=1.0,
+         in_levy_year=False)
+# there b**2 is a float, but a*b**2 rounds past the float maximum
+@example(p_a=sys.float_info.max, alpha=0.0, beta=0.0, gamma=0.0, a=1e9, n=2, b_prev=5e-324,
+         in_levy_year=False)
+def test_a_step_returns_a_budget_whose_consumption_is_a_float(p_a, alpha, beta, gamma, a, n,
+                                                               b_prev, in_levy_year):
+    cons = make_consumer(p_a=p_a, alpha=alpha, beta=beta, gamma=gamma, a=a, n=n, m=3)
+    try:
+        b = consumer_step(cons, b_prev, 3 if in_levy_year else 1)
+    except ModelError:
+        return
+    assert 0.0 < b < math.inf
+    assert math.isfinite(cons.law.consumption(b))
 
 
 def test_step_contracts_toward_the_fixed_point():
@@ -442,12 +464,12 @@ def test_a_trajectory_spans_its_scenario_s_years(baseline_scenario):
 
 
 @pytest.mark.parametrize("text", ["12", b"12", 5, None, np.array(5.0), {0.1, 0.2},
-                                  {0.1: 1.0}, bytearray(b"12")],
+                                  {0.1: 1.0}, bytearray(b"12"), memoryview(b"12")],
                          ids=["str", "bytes", "int", "None", "0-d-array", "set", "mapping",
-                              "bytearray"])
+                              "bytearray", "memoryview"])
 def test_a_trajectory_series_given_as_text_is_rejected(baseline_scenario, text):
-    # iterating "12" or b"12" would give the numbers 1, 2 or 49, 50, a set its hash order
-    # and a mapping its keys; 5, None or a 0-d array (one float) is no sequence
+    # iterating "12" would give the numbers 1, 2, b"12" or its memoryview 49, 50, a set
+    # its hash order and a mapping its keys; 5, None or a 0-d array (one float) is no sequence
     flows = [float("nan"), 5.0]
     with pytest.raises(FieldError) as excinfo:
         Trajectory(scenario=baseline_scenario, b=text, c=flows, tau=flows, delta=flows,
