@@ -233,22 +233,18 @@ class LinearSchedule:
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
-    """Expenditure listed year by year (year 1 first).
-
-    ``values`` is a nonempty list, tuple or 1-D array of numbers, stored as a
-    tuple of floats.
-    """
+    """Expenditure listed year by year (year 1 first): ``values`` is a nonempty
+    sequence of finite numbers by `_floats`' rule, stored as a tuple of floats."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = self.values
-        if isinstance(values, _numpy_type("ndarray")):
-            values = values.tolist()
-        if not isinstance(values, (list, tuple)) or not values:
-            raise FieldError("values", "must be a nonempty list of numbers")
-        object.__setattr__(self, "values", tuple(_number(v, "values", i)
-                                                 for i, v in enumerate(values)))
+        values = _floats(self.values, "values")
+        _check(values, "values", "must be nonempty", values)
+        if not all(map(math.isfinite, values)):  # `_number` names the first that is not
+            for i, v in enumerate(values):
+                _number(v, "values", i)
+        object.__setattr__(self, "values", values)
 
     def value_at(self, k: int) -> float:
         if _year(k) > len(self.values):  # below 1, values[k - 1] would count from the end
@@ -411,15 +407,15 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     point one of the two positive terms alone already reaches rhs. On b > 0
     the left side is increasing and convex, so Newton steps from above stay
     above the root and fall monotonically onto it. The step stops once it
-    moves b by less than 1e-12 relative, and that b is returned when it is
-    > 0 and coeff*b**n is a float, so its consumption is one too.
+    moves b by less than 1e-12 relative, or is NaN, and that b is returned
+    when it is > 0 and coeff*b**n is a float, so its consumption is one too.
 
     Raises NonPositiveBudget if the right side is not positive (a b_prev <=
     -(1-alpha)*p_a; every budget returned is > 0), and otherwise
     SolverDidNotConverge naming year k, the equation and where Newton
-    stopped: at a b that is no such root (0.0, or -inf once coeff*x**n
-    overflowed), where x**n or n*coeff left the float range (as for any n
-    beyond it, whose 1/n is 0.0), or after 200 steps.
+    stopped: at a b that is no such root (0.0, -inf once coeff*x**n overflowed,
+    nan once coeff did), where x**n or n*coeff left the float range (as for
+    any n beyond it, whose 1/n is 0.0), or after 200 steps.
     """
     rhs = (1.0 - params.alpha) * params.p_a + b_prev
     if rhs <= 0.0:
@@ -436,7 +432,7 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
         n_coeff, n_less = n * coeff, n - 1
         for _ in range(_MAX_ITER):
             x, x_prev = x - (coeff * x ** n + slope * x - rhs) / (n_coeff * x ** n_less + slope), x
-            if abs(x - x_prev) <= _STEP_RTOL * abs(x):
+            if not abs(x - x_prev) > _STEP_RTOL * abs(x):  # a NaN step stops too
                 if 0.0 < x and coeff * x ** n < math.inf:  # x ** n raises past the floats
                     return x
                 break

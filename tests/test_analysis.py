@@ -859,7 +859,7 @@ def reference_positive_root(coeff, n, slope, rhs, k):
             x_new = x - (coeff * x ** n + slope * x - rhs) \
                 / (n * coeff * x ** (n - 1) + slope)
             x, x_prev = x_new, x
-            if abs(x - x_prev) <= _STEP_RTOL * abs(x):
+            if not abs(x - x_prev) > _STEP_RTOL * abs(x):  # a NaN step stops
                 if x > 0.0 and math.isfinite(coeff * x ** n):
                     return x
                 raise SolverDidNotConverge(f"{head} (Newton stopped at {x!r})")
@@ -909,6 +909,8 @@ ROOTS_OUT_OF_RANGE = {
     "root below the floats": (make_consumer(p_a=2.2250738585072014e-308, alpha=ALMOST_ONE,
                                             beta=ALMOST_ONE, gamma=ALMOST_ONE,
                                             a=ALMOST_ONE, n=5, m=24), 5e-324, 24),
+    # (1+gamma)*a overflows to inf: Newton starts at 0.0, and its first step is NaN
+    "coefficient past the floats": (make_consumer(gamma=1e300, a=1e300, n=17), 18.0, 1),
 }
 
 

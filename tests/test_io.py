@@ -22,6 +22,7 @@ from debtdyn import (
     FieldError,
     FixedPointOutOfRange,
     LinearSchedule,
+    ModelError,
     ParseError,
     Trajectory,
     ValidationError,
@@ -33,6 +34,7 @@ from debtdyn import (
 )
 from debtdyn import ConditionRegime, io
 from helpers import MALFORMED
+from strategies import scenario_documents
 
 ROOT = Path(__file__).parent.parent
 CORPUS = sorted([*ROOT.glob("scenarios/*.yaml"), *ROOT.glob("tests/data/*.yaml"),
@@ -519,6 +521,24 @@ def test_json_round_trip_is_exact(data_dir, name):
         assert np.array_equal(restored[1:], original[1:])
     assert back.scenario == traj.scenario
     assert write_trajectory(back, format="json") == text
+
+
+def _hexes(traj):
+    return {name: [v.hex() for v in series] for name, series in traj.series.items()}
+
+
+@given(scenario_documents())
+def test_any_simulated_trajectory_round_trips_exactly(doc):
+    try:
+        traj = simulate(io.scenario_from_mapping(doc))
+    except ModelError:  # no trajectory to write
+        return
+    text = write_trajectory(traj, format="json")
+    back = read_trajectory(text)
+    assert back.scenario == traj.scenario
+    assert _hexes(back) == _hexes(traj)  # the year-0 NaN flows too
+    assert write_trajectory(back, format="json") == text
+    assert write_trajectory(back, format="csv") == write_trajectory(traj, format="csv")
 
 
 _BASELINE = load_scenario((ROOT / "scenarios" / "baseline.yaml").read_text())

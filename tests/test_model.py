@@ -3,6 +3,7 @@
 import math
 import pickle
 import sys
+from collections import deque
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -364,13 +365,42 @@ def test_a_numpy_bool_is_not_an_integer(cls, name):
         name, f"must be an integer, got {np.True_!r}")
 
 
-@pytest.mark.parametrize("values", ["123", 5, {}, None, True, np.array(1.0)],
-                         ids=repr)
-def test_explicit_values_must_be_a_nonempty_list(values):
+# a 0-d array is its one element, here a float
+@pytest.mark.parametrize("values,kind", [("123", "str"), (5, "int"), ({}, "dict"),
+                                         (None, "NoneType"), (True, "bool"),
+                                         (np.array(1.0), "float")], ids=repr)
+def test_explicit_values_must_be_a_nonempty_list(values, kind):
     with pytest.raises(FieldError) as excinfo:
         ExplicitSchedule(values=values)
     assert (excinfo.value.field, excinfo.value.problem) == (
-        "values", "must be a nonempty list of numbers")
+        "values", f"must be a sequence of numbers, got {kind}")
+
+
+@pytest.mark.parametrize("empty", [(), [], np.array([]), range(0), iter(())],
+                         ids=["tuple", "list", "ndarray", "range", "iterator"])
+def test_explicit_values_must_not_be_empty(empty):
+    with pytest.raises(FieldError) as excinfo:
+        ExplicitSchedule(values=empty)
+    assert (excinfo.value.field, excinfo.value.problem) == ("values", "must be nonempty, got ()")
+
+
+# factories, so that the schedule and `model._floats` each get a fresh generator
+SEQUENCES = {
+    "list": lambda: [30.0, 31, np.float32(0.1), np.int64(7)],
+    "tuple": lambda: (30.0, 31.5),
+    **{f"ndarray-{dtype.__name__}": lambda dtype=dtype: np.array([30.5, 0.1, 1e-3], dtype)
+       for dtype in (np.float16, np.float32, np.float64, np.longdouble)},
+    "generator": lambda: (k / 10 for k in range(1, 4)),
+    "range": lambda: range(1, 4),
+    "deque": lambda: deque([30.0, 0.1]),
+}
+
+
+@pytest.mark.parametrize("make", SEQUENCES.values(), ids=SEQUENCES.keys())
+def test_explicit_values_take_any_sequence_of_numbers_as_floats_does(make):
+    stored = ExplicitSchedule(values=make()).values
+    assert type(stored) is tuple and {type(v) for v in stored} == {float}
+    assert [v.hex() for v in stored] == [v.hex() for v in model._floats(make(), "values")]
 
 
 def test_explicit_values_name_the_wrong_element():
