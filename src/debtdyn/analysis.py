@@ -12,7 +12,6 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
@@ -23,7 +22,6 @@ from .model import (
     ConsumerParams,
     DebtParams,
     ExpenditureSchedule,
-    ExplicitSchedule,
     FieldError,
     LinearSchedule,
     ModelError,
@@ -46,7 +44,6 @@ __all__ = [
     "HorizonOutOfRange",
     "RegimeError",
     "FixedPoint",
-    "ConditionRegime",
     "ConditionReport",
     "SweepPoint",
     "SWEEP_AXES",
@@ -275,19 +272,13 @@ def debt_closed_form(debt: DebtParams, consumer: ConsumerParams,
 # Decrease condition
 # ---------------------------------------------------------------------------
 
-class ConditionRegime(str, Enum):
-    CONSTANT_G = "constant-g"
-    LINEAR_G = "linear-g"
-    GENERAL_SCHEDULE = "general-schedule"
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Verdict on whether the public debt decreases year over year.
 
     ``lhs`` is the fixed-point tax intake (alpha+gamma)*p_a/(1+gamma);
     ``rhs`` is the expenditure-plus-interest threshold it must strictly
-    exceed. For the linear regime, ``rhs_limit`` is the k -> infinity value
+    exceed. For a linear schedule, ``rhs_limit`` is the k -> infinity value
     of ``rhs`` (None when r = 0, where it diverges, and when the limit is
     outside the float range, as deltaG/r is at a tiny r; the verdict is
     still finite).
@@ -297,24 +288,18 @@ class ConditionReport:
     rhs: float
     margin: float
     holds: bool
-    regime: ConditionRegime
     k: int | None = None
     rhs_limit: float | None = None
 
 
-_REGIMES = {ConstantSchedule: ConditionRegime.CONSTANT_G,
-            LinearSchedule: ConditionRegime.LINEAR_G,
-            ExplicitSchedule: ConditionRegime.GENERAL_SCHEDULE}
-
-
 def _condition_year(debt: DebtParams, k: int | None) -> int | None:
     """None for a constant schedule, whose condition holds in every year or
-    in none; otherwise ``k``, which must be given, an integer and >= 1."""
-    if isinstance(debt.schedule, ConstantSchedule):
-        return None
-    if k is None:
+    in none, else ``k``, which it requires; a given ``k`` must be an integer >= 1."""
+    if k is not None:
+        k = _year(_integer(k, "k"))
+    elif not isinstance(debt.schedule, ConstantSchedule):
         raise ValueError("year k is required for a non-constant schedule")
-    return _year(_integer(k, "k"))
+    return None if isinstance(debt.schedule, ConstantSchedule) else k
 
 
 def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
@@ -322,9 +307,9 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     """Evaluate the strict decrease condition D_k < D_{k-1} at the fixed point:
     the tax intake (alpha+gamma)*p_a/(1+gamma) must exceed T_k of the
     expenditures (see `_thresholds`), since D_k - D_{k-1} = -(1+r)**(k-1) *
-    margin_k for every schedule, r >= 0 and year. A Constant schedule
-    ignores ``k`` (T_k = g0 + r*D0); Linear and Explicit ones need ``k``
-    (>= 1), which an Explicit one must cover. For r > 0 the cost is bounded (about 15,600
+    margin_k for every schedule, r >= 0 and year. A Constant schedule's
+    verdict has no year (T_k = g0 + r*D0); Linear and Explicit ones need
+    ``k``, which an Explicit one must cover. For r > 0 the cost is bounded (about 15,600
     terms at r = 0.05, whatever k); at r = 0 it is O(k).
 
     A missing or invalid ``k`` raises ValueError (FieldError when it is not
@@ -355,7 +340,7 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
         limit = schedule.g1 + debt.r * debt.d0 + schedule.delta_g / debt.r
         limit = limit if math.isfinite(limit) else None  # deltaG/r overflows at a tiny r
     return ConditionReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin > 0,
-                           regime=_REGIMES[type(schedule)], k=k, rhs_limit=limit)
+                           k=k, rhs_limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ fields and restates the type's field error under the file path of the field.
 Every text output is written by one of three writers: `write_table` (CSV),
 `write_record` (``key = value`` lines) and `write_json` (indented JSON).
 They share one cell rule: None and NaN are empty, flags are true/false,
-floats go through `format_number`, a str enum is its value.
+floats go through `format_number`, anything else is its `str`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import json
 import math
 import re
 from dataclasses import fields
-from enum import Enum
 
 import yaml
 
@@ -265,7 +264,7 @@ def _text(value) -> str:
         return ""
     if type(value) is bool:
         return "true" if value else "false"
-    return value.value if isinstance(value, Enum) else str(value)
+    return str(value)
 
 
 def _csv_line(cells: list) -> str:
@@ -305,7 +304,7 @@ def _json(value, indent: str) -> str:
     inner, is_dict = indent + "  ", isinstance(value, dict)
     items = value.values() if is_dict else value
     mixed = not set(map(type, items)) <= _SCALARS  # one type-set pass, as in `_floats`
-    if mixed:  # a container, or another type such as a str enum
+    if mixed:  # a container, or another type such as a str subclass
         flat = [0 if isinstance(item, _CONTAINERS) else item for item in items]
         value = dict(zip(value, flat)) if is_dict else flat
     separator = ",\n" + inner

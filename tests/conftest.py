@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,12 @@ from debtdyn import (
     Scenario,
 )
 
+# "suite" replays the same draws on every run; "deep" searches with fresh draws and
+# prints the blob that reproduces a failure (HYPOTHESIS_PROFILE=deep)
 settings.register_profile("suite", deadline=None, derandomize=True)
-settings.load_profile("suite")
+settings.register_profile("deep", deadline=None, derandomize=False, max_examples=5000,
+                          print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from debtdyn import (
     ConditionNotFinite,
-    ConditionRegime,
     ConstantSchedule,
     ConsumerParams,
     ConsumptionLaw,
@@ -505,7 +504,7 @@ def test_condition_threshold_at_reference_rates():
     assert report.rhs == 35.0
     assert report.margin == 5.0
     assert report.holds
-    assert report.regime is ConditionRegime.CONSTANT_G
+    assert report.k is None and report.rhs_limit is None
 
 
 def test_condition_zero_debt_corollary():
@@ -536,7 +535,7 @@ def test_condition_linear_k3_matches_partial_sum_oracle():
     brute = 30.0 + 0.05 * 100.0 + sum(1.0 / 1.05 ** j for j in (1, 2))
     assert report.rhs == pytest.approx(36.859410430839006, rel=1e-12)
     assert report.rhs == pytest.approx(brute, rel=1e-12)
-    assert report.regime is ConditionRegime.LINEAR_G
+    assert list(vars(report)) == ["lhs", "rhs", "margin", "holds", "k", "rhs_limit"]
     assert report.k == 3
     assert report.rhs_limit == pytest.approx(30.0 + 5.0 + 1.0 / 0.05, rel=1e-12)
 
@@ -579,16 +578,19 @@ def test_condition_guards():
         decrease_condition(cons, linear)
     with pytest.raises(ValueError):
         decrease_condition(cons, linear, k=0)
+    with pytest.raises(ValueError, match=r"^year k must be >= 1, got 0$"):
+        decrease_condition(cons, constant_debt(), k=0)  # a given year, whatever the schedule
     short = DebtParams(r=0.05, d0=0.0, schedule=ExplicitSchedule(values=(30.0, 31.0)))
     with pytest.raises(ScheduleTooShort):
         decrease_condition(cons, short, k=3)
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
-@pytest.mark.parametrize("kind", ["linear", "explicit"])
+@pytest.mark.parametrize("kind", ["constant", "linear", "explicit"])
 def test_a_year_that_is_not_an_integer_is_a_field_error(kind, k):
-    schedule = (LinearSchedule(g1=30.0, delta_g=1.0) if kind == "linear"
-                else ExplicitSchedule(values=(30.0, 31.0, 33.0)))
+    schedule = {"constant": ConstantSchedule(g0=30.0),
+                "linear": LinearSchedule(g1=30.0, delta_g=1.0),
+                "explicit": ExplicitSchedule(values=(30.0, 31.0, 33.0))}[kind]
     debt = DebtParams(r=0.05, d0=100.0, schedule=schedule)
     base = Scenario(consumer=make_consumer(), debt=debt, b0=18.0, horizon=3)
     message = "^" + re.escape(f"k must be an integer, got {k!r}") + "$"

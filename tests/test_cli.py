@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from debtdyn import (
@@ -165,7 +165,7 @@ def test_condition_json_block(baseline_path, capsys):
     assert cli.main(["condition", baseline_path, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"lhs": 40.0, "rhs": 35.0, "margin": 5.0, "holds": True,
-                   "regime": "constant-g", "k": None, "rhs_limit": None}
+                   "k": None, "rhs_limit": None}
 
 
 def test_condition_linear_requires_year(tmp_path, capsys):
@@ -176,7 +176,8 @@ def test_condition_linear_requires_year(tmp_path, capsys):
     assert "year k is required" in capsys.readouterr().err
     assert cli.main(["condition", path, "-k", "3"]) == 0
     out = capsys.readouterr().out
-    assert "regime = linear-g" in out
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "lhs", "rhs", "margin", "holds", "k", "rhs_limit"]
     assert "k = 3" in out
     assert "rhs_limit = " in out
 
@@ -307,8 +308,9 @@ def test_parse_grid_with_one_point_is_its_start():
 
 
 def test_structural_misuse_exits_two(tmp_path, baseline_path, capsys):
-    assert cli.main(["condition", baseline_path, "-k", "0"]) == 0  # k ignored for constant g
-    capsys.readouterr()
+    for year in ("0", "-3"):  # a given year is checked whatever the schedule
+        assert cli.main(["condition", baseline_path, "-k", year]) == 2
+        assert capsys.readouterr().err == f"error: year k must be >= 1, got {year}\n"
     linear = write_variant(tmp_path, "lin.yaml",
                            "schedule: {kind: constant, g0: 30.0}",
                            "schedule: {kind: linear, g1: 30.0, deltaG: 1.0}")
@@ -697,7 +699,6 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100)
 @given(cli_cases())
 @example((FLOAT_MAX_INCOME, None, {axis: [1.0] for axis in SWEEP_AXES}))
 def test_every_subcommand_exits_0_1_or_2_over_the_valid_domain(case):

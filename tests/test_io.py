@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from enum import Enum
 from io import StringIO
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from debtdyn import (
     simulate,
     write_trajectory,
 )
-from debtdyn import ConditionRegime, io
+from debtdyn import io
 from helpers import MALFORMED
 from strategies import scenario_documents
 
@@ -723,11 +724,20 @@ def test_read_trajectory_reads_an_int_as_a_float_and_null_as_nan(baseline_scenar
 # write_json against the stdlib's indented encoder
 # ---------------------------------------------------------------------------
 
+class _Kind(str, Enum):
+    """A str subclass outside `io._SCALARS`: `write_json` takes its mixed-type path for it,
+    and json writes a member as its value."""
+
+    A = "a"
+    B = "b,\n"
+    C = "\u00e9"
+
+
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
                  | st.floats(allow_nan=False, allow_infinity=False)
                  | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
                  | st.text() | st.sampled_from(["\u00e9\u4e2d", '"\\\n\t\x00', "\u2028\ud800"])
-                 | st.sampled_from(list(ConditionRegime)))
+                 | st.sampled_from(list(_Kind)))
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)

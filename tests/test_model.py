@@ -320,6 +320,11 @@ HUGE = 10 ** 400  # an integer literal beyond the float range
     (lambda: ConsumptionLaw(a=HUGE, n=2), "a", "inf"),
     (lambda: DebtParams(r=0.05, d0=HUGE, schedule=ConstantSchedule(g0=1.0)), "d0", "inf"),
     (lambda: ExplicitSchedule(values=(1.0, -HUGE)), "values[1]", "-inf"),
+    # and floats that are not finite, which an explicit schedule names element by element
+    (lambda: ExplicitSchedule(values=(30.0, math.inf)), "values[1]", "inf"),
+    (lambda: ExplicitSchedule(values=(math.nan,)), "values[0]", "nan"),
+    (lambda: ExplicitSchedule(values=[1.0, np.float32("inf")]), "values[1]", "inf"),
+    (lambda: ExplicitSchedule(values=np.array([1.0, math.nan])), "values[1]", "nan"),
 ])
 def test_an_integer_beyond_the_float_range_is_not_finite(build, field, value):
     with pytest.raises(FieldError) as excinfo:
