@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -198,8 +197,9 @@ def _thresholds(x, r: float, d0: float):
         T_j = x_1 + r*D0 + sum_{i<j} (x_{i+1} - x_i) * (1+r)**-i.
 
     Summation by parts of D_k = (1+r)*D_{k-1} + d_k gives D_k - D_{k-1} =
-    (1+r)**(k-1) * T_k over the drifts d; over the expenditures g, T_k is
-    the decrease condition's threshold."""
+    (1+r)**(k-1) * T_k over the drifts d; over the expenditures g, T_k is the
+    decrease condition's threshold. Steps of deltaG give g_1 + r*D0 + deltaG*A_{k-1},
+    with the annuity A_m = (1 - (1+r)**-m)/r (A_m = m at r = 0)."""
     x, growth = iter(x), 1.0 + r
     prev = next(x)  # no caller passes an empty series
     t = prev + r * d0
@@ -309,8 +309,8 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     expenditures (see `_thresholds`), since D_k - D_{k-1} = -(1+r)**(k-1) *
     margin_k for every schedule, r >= 0 and year. A Constant schedule's
     verdict has no year (T_k = g0 + r*D0); Linear and Explicit ones need
-    ``k``, which an Explicit one must cover. For r > 0 the cost is bounded (about 15,600
-    terms at r = 0.05, whatever k); at r = 0 it is O(k).
+    ``k``, which an Explicit one must cover. A Linear T_k is in annuity form,
+    so it costs the same at any k; an Explicit one costs at most its listed years.
 
     A missing or invalid ``k`` raises ValueError (FieldError when it is not
     an integer) before anything else is checked. Raises RegimeError when a
@@ -321,24 +321,22 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     _require_simple_regime(consumer, "the decrease condition")
 
     lhs = _fixed_point_surplus(consumer)
-    schedule = debt.schedule
-    g = schedule.value_at
-    g(k or 1)  # a schedule too short for year k raises ScheduleTooShort naming k
-    # Past j = 1100*ln2 / log(1+r) every (1+r)**-j is exactly 0.0, so later
-    # years add 0; at r = 0 (or r below the float spacing at 1) all k count.
-    log_growth = math.log(1.0 + debt.r)
-    top = (k or 1) - 1
-    if log_growth:
-        top = min(top, math.ceil(1100 * math.log(2.0) / log_growth))
-    rhs = deque(_thresholds(map(g, range(1, top + 2)), debt.r, debt.d0), maxlen=1)[0]
+    schedule, r, limit = debt.schedule, debt.r, None
+    if isinstance(schedule, LinearSchedule):  # T_k = base + deltaG * A_{k-1}, O(1) at any k
+        base, delta = schedule.g1 + r * debt.d0, schedule.delta_g
+        m = float(k - 1) if k <= sys.float_info.max else math.inf  # inf: past the floats
+        annuity = -math.expm1(-m * math.log1p(r)) / r if r else m  # 1/r at m = inf
+        rhs = base + delta * annuity if delta else base  # 0 * inf would be nan
+        limit = base + delta / r if r else math.inf  # r = 0: no limit
+        limit = limit if math.isfinite(limit) else None  # nor where deltaG/r overflows
+    else:  # one pass over the years its data bounds: a constant one's 1, an explicit one's k
+        g = schedule.value_at
+        g(k or 1)  # a schedule too short for year k raises ScheduleTooShort naming k
+        *_, rhs = _thresholds(map(g, range(1, (k or 1) + 1)), r, debt.d0)
     margin = lhs - rhs
     if not math.isfinite(margin):  # lhs is always finite, so this covers rhs too
         raise ConditionNotFinite(f"the decrease condition leaves the float range "
                                  f"(rhs = {rhs!r}, margin = {margin!r})")
-    limit = None
-    if isinstance(schedule, LinearSchedule) and debt.r > 0.0:
-        limit = schedule.g1 + debt.r * debt.d0 + schedule.delta_g / debt.r
-        limit = limit if math.isfinite(limit) else None  # deltaG/r overflows at a tiny r
     return ConditionReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin > 0,
                            k=k, rhs_limit=limit)
 

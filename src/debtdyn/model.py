@@ -414,8 +414,8 @@ def consumer_step(params: ConsumerParams, b_prev: float, k: int) -> float:
     -(1-alpha)*p_a; every budget returned is > 0), and otherwise
     SolverDidNotConverge naming year k, the equation and where Newton
     stopped: at a b that is no such root (0.0, -inf once coeff*x**n overflowed,
-    nan once coeff did), where x**n or n*coeff left the float range (as for
-    any n beyond it, whose 1/n is 0.0), or after 200 steps.
+    nan once coeff did), where x**n left the float range (as for any n
+    beyond it, whose 1/n is 0.0), or after 200 steps.
     """
     rhs = (1.0 - params.alpha) * params.p_a + b_prev
     if rhs <= 0.0:

@@ -54,6 +54,7 @@ from debtdyn.model import (
 )
 from debtdyn.io import load_scenario
 from helpers import make_consumer, quad_root, random_general_scenario
+from strategies import nonnegative, positive, signed
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -719,12 +720,13 @@ def test_closed_form_and_condition_match_the_recursion_at_any_rates(case):
 # ---------------------------------------------------------------------------
 
 def test_condition_sum_stops_where_the_discount_underflows():
-    # at r = 0.05, (1+r)**-j is exactly 0.0 from j = 15,273 on, so no year
-    # past that can change rhs, and year 10**8 costs what year 20,000 does
+    # a linear threshold is g1 + r*D0 + deltaG*A_{k-1}, and at r = 0.05 the annuity
+    # -expm1(-m*log1p(r))/r is the float 1/r from m = 768 on: years 20,000 and
+    # 10**8 give rhs = rhs_limit, the limit the year-by-year sum approaches
     s = load_scenario((SCENARIOS / "linear_expenditure.yaml").read_text())
     far = decrease_condition(s.consumer, s.debt, 10**8)
     assert far.rhs == decrease_condition(s.consumer, s.debt, 20_000).rhs
-    # within 11 ulp (10.5 measured) of the exact sum of year 20,000's float terms
+    # within 11 ulp (2.5 measured) of the exact sum of year 20,000's float terms
     g = s.debt.schedule.value_at
     exact = Fraction(g(1)) + Fraction(5.0) + sum(
         Fraction((g(j + 1) - g(j)) * 1.05 ** -j) for j in range(1, 20_000))
@@ -749,6 +751,39 @@ def test_geometric_identity_through_k200():
             assert closed == pytest.approx(brute, rel=1e-12)
             annuity = decrease_condition(cons, debt, k=k + 1).rhs - 1.0
             assert annuity == pytest.approx(brute, rel=1e-12)
+
+
+U, TINY = Fraction(1, 2**53), Fraction(1, 2**1074)  # unit roundoff, smallest subnormal
+
+
+@given(g1=positive, delta=signed, r=nonnegative, d0=nonnegative, k=st.integers(1, 30))
+@example(g1=1.0, delta=1.0, r=1e-16, d0=0.0, k=30)  # a year-by-year sum is 13.1*u*S off
+@example(g1=5e-324, delta=0.0, r=0.3, d0=1e-323, k=1)  # r*D0 rounds in the subnormals
+@example(g1=5e-324, delta=0.4641588833612779, r=sys.float_info.max, d0=0.0, k=20)  # so does A
+def test_a_linear_threshold_is_within_4u_of_its_exact_value(g1, delta, r, d0, k):
+    # S = |g1| + r*D0 + |deltaG|*A_{k-1} bounds every term and partial sum. A result in the
+    # subnormals is off by up to TINY/2 absolutely: r*D0, deltaG*A, and A, |deltaG| times over
+    debt = DebtParams(r=r, d0=d0, schedule=LinearSchedule(g1=g1, delta_g=delta))
+    annuity = sum((1 / (1 + Fraction(r))) ** i for i in range(1, k))
+    g1, delta, r, d0 = map(Fraction, (g1, delta, r, d0))
+    exact, scale = g1 + r * d0 + delta * annuity, g1 + r * d0 + abs(delta) * annuity
+    try:
+        rhs = decrease_condition(make_consumer(), debt, k).rhs
+    except ConditionNotFinite:  # only where S, and so a term or T_k, leaves the floats
+        assert (1 + 4 * U) * scale >= sys.float_info.max
+        return
+    assert abs(Fraction(rhs) - exact) <= 4 * U * scale + (abs(delta) + 2) * TINY
+
+
+def test_a_linear_condition_reads_no_year_of_its_schedule(monkeypatch):
+    # T_k in annuity form: year 10**12 at r = 0 costs what year 2 does
+    calls, value_at = [], LinearSchedule.value_at
+    monkeypatch.setattr(LinearSchedule, "value_at",
+                        lambda self, k: calls.append(k) or value_at(self, k))
+    debt = DebtParams(r=0.0, d0=100.0, schedule=LinearSchedule(g1=30.0, delta_g=1.0))
+    assert decrease_condition(make_consumer(), debt, 10**12).rhs == 30.0 + (10**12 - 1)
+    assert calls == []
+    assert debt.schedule.value_at(3) == 32.0 and calls == [3]  # the counter counts
 
 
 def test_annuity_factor_extends_continuously_to_zero_rate():

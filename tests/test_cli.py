@@ -534,6 +534,33 @@ def test_a_linear_limit_outside_the_float_range_is_left_out(tmp_path, capsys, de
     assert "rhs = " in out and "rhs_limit" not in out
 
 
+# a year past the float range: the annuity A_{k-1} is 1/r at r > 0 (so rhs = rhs_limit),
+# unbounded at r = 0, and multiplies nothing at deltaG = 0
+@pytest.mark.parametrize("k", [2**1024, 10**400], ids=["2**1024", "10**400"])
+@pytest.mark.parametrize("old,new,rhs", [("r: 0.05", "r: 0.05", 55.0), ("r: 0.05", "r: 0", None),
+                                         ("deltaG: 1.0", "deltaG: 0.0", 35.0)],
+                         ids=["r=0.05", "r=0", "deltaG=0"])
+def test_a_year_past_the_float_range_is_a_verdict_or_a_named_error(tmp_path, capsys, k,
+                                                                    old, new, rhs):
+    path = tmp_path / "far.yaml"
+    path.write_text((REPO / "tests" / "data" / "linear.yaml").read_text().replace(old, new))
+    code = cli.main(["condition", str(path), "-k", str(k), "--format", "json"])
+    out, err = capsys.readouterr()
+    if rhs is None:
+        assert (code, out, err) == (1, "", "error: the decrease condition leaves the float "
+                                           "range (rhs = inf, margin = -inf)\n")
+    else:
+        assert code == 0 and strict_json(out) == {"lhs": 40.0, "rhs": rhs, "margin": 40.0 - rhs,
+                                                   "holds": rhs < 40.0, "k": k, "rhs_limit": rhs}
+    assert cli.main(["sweep", str(path), "--axis", "D0", "--grid", "0,1", "-k", str(k),
+                     "--format", "json"]) == 0
+    for row in strict_json(capsys.readouterr().out):
+        if rhs is None:
+            assert row["error"].startswith("the decrease condition leaves the float range")
+        else:
+            assert row["error"] is None and row["rhs"] == row["rhs_limit"]
+
+
 def test_condition_outside_the_float_range_exits_one(tmp_path, capsys):
     path = tmp_path / "steep.yaml"
     path.write_text(BASELINE.replace("r: 0.05", "r: 1.0e+300").replace("D0: 100.0", "D0: 1.0e+10"))
@@ -645,6 +672,9 @@ GOLDEN = {
     "sweep_alpha_default_b0.csv": ["sweep", "tests/data/baseline_default_b0.yaml",
                                    "--axis", "alpha", "--grid", "0.25,0.4"],
     "simulate_baseline.csv": ["simulate", "tests/data/baseline.yaml"],
+    # r = 0: the annuity is k - 1, so year 10**12 costs what year 2 does
+    "condition_linear_r0_far.txt": ["condition", "tests/data/linear_r0.yaml",
+                                    "-k", "1000000000000"],
 }
 
 
@@ -687,7 +717,8 @@ def test_a_sweep_json_row_is_its_points_condition_report(capsys):
 def cli_cases(draw):
     """A scenario document, a condition year or none, and a grid for each sweep axis."""
     doc = draw(scenario_documents())
-    k = draw(st.integers(0, doc["run"]["horizon"] + 2)) or None  # no -k at 0
+    k = draw(st.integers(0, doc["run"]["horizon"] + 2)  # no -k at 0; or a year past the floats
+             | st.sampled_from((10**6, 2**1023, 2**1024, 10**400))) or None
     return doc, k, {axis: draw(st.lists(AXIS_VALUES[axis], min_size=1, max_size=3))
                     for axis in SWEEP_AXES}
 
