@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 from typing import TYPE_CHECKING
@@ -128,14 +127,17 @@ def _expenditure(schedule: ExpenditureSchedule, horizon: int) -> list:
         raise HorizonOutOfRange(f"horizon {horizon} has more years than memory can hold") from None
 
 
-def _budget_path(consumer: ConsumerParams, b0: float,
+def _budget_path(consumer: ConsumerParams, b0: float | None,
                  horizon: int) -> tuple[list, list, list]:
     """Budget, consumption and tax bill for years 0..K (c and tau NaN in year
-    0). The budget never reads the debt, so one path serves any DebtParams.
+    0), from b0 or, when it is None, from this consumer's b_lambda. The budget
+    never reads the debt, so one path serves any DebtParams.
 
     Once a year with no levy left maps b to itself exactly, every later year
     would repeat it bit for bit (a year depends on k only through the levy),
     so its values fill the rest of the horizon without further solves."""
+    if b0 is None:  # at the fixed point: this consumer's own b_lambda
+        b0 = fixed_point(consumer).b_lambda
     consumption, m = consumer.law.consumption, consumer.m
     b_k, b, c, tau = b0, [b0], [math.nan], [math.nan]
     for k in range(1, horizon + 1):
@@ -162,13 +164,10 @@ def _debt_path(r: float, d0: float, drifts) -> list:
     return series if math.isfinite(d) else _finite_debt(series, first_year=0)
 
 
-def _drifts(schedule, consumer, b0, horizon, budget_path=_budget_path) -> tuple:
-    """The budget path of years 0..K and the drifts g_k - tau_k of years 1..K."""
-    g = _expenditure(schedule, horizon)  # before any solve: a short schedule is reported first
-    if b0 is None:  # at the fixed point: this consumer's own b_lambda
-        b0 = fixed_point(consumer).b_lambda
-    path = budget_path(consumer, b0, horizon)
-    return path, list(map(sub, g, path[2][1:]))
+def _drifts(g: list, path: tuple) -> list:
+    """The drifts g_k - tau_k of years 1..K from the expenditures g_1..g_K and
+    a budget path of years 0..K."""
+    return list(map(sub, g, path[2][1:]))
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -181,8 +180,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     the horizon, FixedPointOutOfRange if that b_lambda is out of range, and
     DebtNotFinite if the debt leaves the float range.
     """
-    (b, c, tau), drifts = _drifts(scenario.debt.schedule, scenario.consumer,
-                                  scenario.b0, scenario.horizon)
+    # the expenditures before any solve: a short schedule is reported first
+    g = _expenditure(scenario.debt.schedule, scenario.horizon)
+    b, c, tau = path = _budget_path(scenario.consumer, scenario.b0, scenario.horizon)
+    drifts = _drifts(g, path)
     debt = _debt_path(scenario.debt.r, scenario.debt.d0, drifts)
     return Trajectory._of_floats(scenario, b, c, tau, [math.nan, *drifts], debt)
 
@@ -236,7 +237,8 @@ def debt_closed_form_general(debt: DebtParams, drifts) -> np.ndarray:
     return np.array(_debt_closed_form_general(debt, _floats(drifts, "drifts")))
 
 
-def _require_simple_regime(consumer: ConsumerParams, what: str) -> None:
+def _require_simple_regime(consumer: ConsumerParams,
+                           what: str = "the decrease condition") -> None:
     if consumer.beta != 0.0 and consumer.m is not None:
         raise RegimeError(f"{what} requires beta = 0, got beta = {consumer.beta!r}")
 
@@ -318,7 +320,7 @@ def decrease_condition(consumer: ConsumerParams, debt: DebtParams,
     rhs or margin is not finite.
     """
     k = _condition_year(debt, k)
-    _require_simple_regime(consumer, "the decrease condition")
+    _require_simple_regime(consumer)
 
     lhs = _fixed_point_surplus(consumer)
     schedule, r, limit = debt.schedule, debt.r, None
@@ -373,6 +375,24 @@ _AXES = {
 SWEEP_AXES = tuple(_AXES)
 
 
+def _once(make):
+    """``make()`` formed on the first call and returned at every later one; a
+    ModelError it raised is raised again at each, with the same type and text."""
+    memo = []
+
+    def formed():
+        if not memo:
+            try:
+                memo.append((make(), None))
+            except ModelError as exc:
+                memo.append((None, (type(exc), exc.args)))
+        value, error = memo[0]
+        if error:
+            raise error[0](*error[1])
+        return value
+    return formed
+
+
 def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPoint]:
     """Evaluate the decrease condition and the simulated terminal debt for
     each grid value of one parameter, in input order.
@@ -382,31 +402,55 @@ def sweep(base: Scenario, axis: str, grid, k: int | None = None) -> list[SweepPo
     Constant; a base without b0 starts each point at its own b_lambda. Like
     an unknown axis, a missing or invalid year ``k`` and a grid element that
     is not a number (a FieldError naming ``grid[i]``) raise ValueError up front.
+
+    What a point shares with the base is formed once, on first use (the base
+    schedule's years, the base consumer's budget path and RegimeError, and
+    the drifts of both), and a shared ModelError recurs with the same text at
+    each point it reaches; a consumer axis solves one path per run of equal
+    values. Each ``final_debt`` equals `simulate`'s on that point bit for bit.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == "g0" and not isinstance(base.debt.schedule, ConstantSchedule):
         raise ValueError("sweep axis 'g0' requires a constant expenditure schedule")
-    _condition_year(base.debt, k)
+    _condition_year(base.debt, k)  # a point's year check passes once the base's has
     grid = _floats(grid, "grid")  # NaN and infinities pass here and fail at their point
 
-    # r, D0 and g0 points share the base's consumer; a consumer axis gives each its own
-    budget_path = lru_cache(maxsize=1)(_budget_path)  # so it holds one path; keeps no failure
+    # `_AXES` passes an unmoved consumer or schedule through, so `is` tells what a point keeps
+    move, consumer0, debt0, horizon = _AXES[axis], base.consumer, base.debt, base.horizon
+    schedule0 = debt0.schedule
+    refusal = _once(lambda: _require_simple_regime(consumer0))
+    expenditure0 = _once(lambda: _expenditure(schedule0, horizon))
+    last = [None, None]  # the last consumer asked for and its path: one path per run
+
+    def budget_path(consumer):
+        if consumer is not last[0] and consumer != last[0]:
+            last[:] = consumer, _once(lambda: _budget_path(consumer, base.b0, horizon))
+        return last[1]()
+
+    drifts0 = _once(lambda: _drifts(expenditure0(), budget_path(consumer0)))
     points = []
     for value in grid:
         report, final_debt, errors = None, None, []
         try:
-            consumer, debt = _AXES[axis](base.consumer, base.debt, value)
+            consumer, debt = move(consumer0, debt0, value)
         except FieldError as exc:
             points.append(SweepPoint(value, None, None, str(exc)))
             continue
         try:
+            if consumer is consumer0:
+                refusal()
             report = decrease_condition(consumer, debt, k)
         except ModelError as exc:
             errors.append(str(exc))
-        try:
-            final_debt = _debt_path(debt.r, debt.d0, _drifts(
-                debt.schedule, consumer, base.b0, base.horizon, budget_path)[1])[-1]
+        try:  # the expenditures before the budget path, as in `simulate`
+            if debt.schedule is not schedule0:
+                drifts = _drifts(_expenditure(debt.schedule, horizon), budget_path(consumer))
+            elif consumer is not consumer0:
+                drifts = _drifts(expenditure0(), budget_path(consumer))
+            else:
+                drifts = drifts0()
+            final_debt = _debt_path(debt.r, debt.d0, drifts)[-1]
         except ModelError as exc:
             errors.append(str(exc))
         points.append(SweepPoint(value, report, final_debt, "; ".join(errors) or None))

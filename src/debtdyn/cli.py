@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -76,16 +77,20 @@ def cmd_fixed_point(scenario, args) -> str:
     return _record(analysis.fixed_point(scenario.consumer), args)
 
 
-_SWEEP_COLUMNS = ("value", "lhs", "rhs", "margin", "holds", "final_D", "error")
+_REPORT_COLUMNS = ("lhs", "rhs", "margin", "holds")  # a CSV row's fields of a ConditionReport
+_SWEEP_COLUMNS = ("value", *_REPORT_COLUMNS, "final_D", "error")
+_report_cells = operator.attrgetter(*_REPORT_COLUMNS)
+_NO_REPORT = (None,) * len(_REPORT_COLUMNS)
 
 
 def cmd_sweep(scenario, args) -> str:
-    rows = [{"value": p.value, **(vars(p.report) if p.report else {}),
-             "final_D": p.final_debt, "error": p.error}
-            for p in analysis.sweep(scenario, args.axis, args.grid, k=args.year)]
+    points = analysis.sweep(scenario, args.axis, args.grid, k=args.year)
     if args.format == "json":
-        return io.write_json(rows)
-    return io.write_table(_SWEEP_COLUMNS, (map(row.get, _SWEEP_COLUMNS) for row in rows))
+        return io.write_json([{"value": p.value, **(vars(p.report) if p.report else {}),
+                               "final_D": p.final_debt, "error": p.error} for p in points])
+    return io.write_table(_SWEEP_COLUMNS, (
+        (p.value, *(_report_cells(p.report) if p.report else _NO_REPORT), p.final_debt, p.error)
+        for p in points))
 
 
 # ---------------------------------------------------------------------------

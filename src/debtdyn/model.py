@@ -228,7 +228,13 @@ class LinearSchedule:
         _check(self.g1 > 0, "g1", "must be > 0", self.g1)
 
     def value_at(self, k: int) -> float:
-        return (_year(k) - 1) * self.delta_g + self.g1
+        years = _year(k) - 1
+        if not self.delta_g:  # g1 in every year, also one past the float range
+            return self.g1
+        try:
+            return years * self.delta_g + self.g1
+        except OverflowError:  # k - 1 has no float
+            raise ValueError(f"year k must be within the float range, got {k!r}") from None
 
 
 @dataclass(frozen=True)

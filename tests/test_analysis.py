@@ -1016,6 +1016,36 @@ def test_a_sweep_that_keeps_the_consumer_solves_one_budget_path(baseline_scenari
     assert len(years) == once > 1
 
 
+@pytest.mark.parametrize("axis,grid", [("D0", np.linspace(0.0, 500.0, 20)),
+                                       ("r", np.linspace(0.0, 0.2, 20))])
+def test_a_sweep_that_keeps_the_schedule_lists_its_years_once(baseline_scenario,
+                                                              monkeypatch, axis, grid):
+    base = replace(baseline_scenario, debt=DebtParams(
+        r=0.05, d0=100.0, schedule=ExplicitSchedule(values=tuple(range(30, 40)))))
+    calls, expenditure = [], analysis._expenditure
+
+    def counted(schedule, horizon):
+        calls.append(schedule)
+        return expenditure(schedule, horizon)
+
+    monkeypatch.setattr(analysis, "_expenditure", counted)
+    points = sweep(base, axis, grid, k=3)
+    assert calls == [base.debt.schedule]
+    assert all(p.error is None for p in points)
+
+
+def test_a_levy_base_refuses_the_condition_without_calling_it(data_dir, monkeypatch):
+    base = load_scenario((data_dir / "wealth_tax.yaml").read_bytes())
+    calls = []
+    monkeypatch.setattr(analysis, "decrease_condition",
+                        lambda *args: calls.append(args) or decrease_condition(*args))
+    points = sweep(base, "D0", np.linspace(0.0, 500.0, 20))
+    assert calls == []
+    assert [p.error for p in points] == ["the decrease condition requires beta = 0, "
+                                         "got beta = 0.1"] * 20
+    assert all(p.report is None and p.final_debt is not None for p in points)
+
+
 def traced_peak(run) -> int:
     """The peak of the memory Python allocates while ``run()`` runs, in bytes."""
     tracemalloc.start()
@@ -1314,7 +1344,6 @@ def sweep_cases(draw):
     return base, axis, grid, draw(st.integers(1, horizon + 3))
 
 
-@settings(max_examples=80)
 @given(sweep_cases())
 def test_sweep_equals_per_point_simulate(case):
     assert_sweep_matches_simulate(*case)

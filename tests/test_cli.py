@@ -28,7 +28,7 @@ from debtdyn import (
     simulate,
     sweep,
 )
-from debtdyn.io import write_json, write_record
+from debtdyn.io import _text, write_json, write_record
 from strategies import AXIS_VALUES, scenario_documents
 
 BASELINE = """
@@ -707,6 +707,33 @@ def test_a_sweep_json_row_is_its_points_condition_report(capsys):
         report = decrease_condition(base.consumer, replace(base.debt, d0=row["value"]), 5)
         assert {name: row[name] for name in names} == json.loads(write_json(asdict(report)))
     assert rows[2]["value"] == 50.0 and rows[2]["holds"] and rows[2]["rhs_limit"] == 52.5
+
+
+SWEEP_CSV_GRIDS = {"alpha": [0.1, 1.5, 0.25], "g0": [20.0, -1.0, 40.0],
+                   "r": [0.0, -0.5, 0.9], "D0": [-1.0, 0.0, 100.0], "p_a": [0.0, 60.0, 100.0]}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+@pytest.mark.parametrize("scenario,k", [("scenarios/baseline.yaml", None),
+                                        ("tests/data/wealth_tax.yaml", None),  # a levy base
+                                        ("tests/data/short_explicit.yaml", 1)])
+def test_a_sweep_csv_row_is_its_points_cells(capsys, scenario, k, axis):
+    grid = SWEEP_CSV_GRIDS[axis]
+    argv = ["sweep", str(REPO / scenario), "--axis", axis, "--grid=" + ",".join(map(str, grid)),
+            *([] if k is None else ["-k", str(k)])]
+    base = load_scenario((REPO / scenario).read_bytes())
+    if axis == "g0" and not isinstance(base.debt.schedule, ConstantSchedule):
+        assert cli.main(argv) == 2  # refused up front: no rows
+        return
+    assert cli.main(argv) == 0
+    header, *rows = csv.reader(StringIO(capsys.readouterr().out))
+    assert header == ["value", "lhs", "rhs", "margin", "holds", "final_D", "error"]
+    points = sweep(base, axis, grid, k=k)
+    assert len(rows) == len(points) == len(grid)
+    for row, p in zip(rows, points):
+        report = ([p.report.lhs, p.report.rhs, p.report.margin, p.report.holds]
+                  if p.report else [None] * 4)  # a point with no report: empty cells
+        assert row == list(map(_text, [p.value, *report, p.final_debt, p.error]))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,14 @@ def test_linear_schedule_expansion():
     assert [sched.value_at(k) for k in (1, 2, 3)] == [30.0, 32.0, 34.0]
 
 
+@pytest.mark.parametrize("k", [2**1024, 10**400])
+def test_a_linear_schedule_names_a_year_past_the_float_range(k):
+    assert LinearSchedule(g1=30.0, delta_g=0.0).value_at(k) == 30.0
+    assert LinearSchedule(g1=30.0, delta_g=-0.0).value_at(k) == 30.0
+    with pytest.raises(ValueError, match=rf"^year k must be within the float range, got {k}$"):
+        LinearSchedule(g1=30.0, delta_g=1.0).value_at(k)
+
+
 def test_explicit_schedule_lookup_and_bounds():
     sched = ExplicitSchedule(values=(10.0, 20.0))
     assert sched.value_at(2) == 20.0
